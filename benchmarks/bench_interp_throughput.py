@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""Interpreter throughput: the four execution tiers compared.
+"""Interpreter throughput: the three execution tiers compared.
 
-Runs one generated benchmark under every scheme with all four CPU
-backends (reference isinstance loop, pre-decoded dispatch, the
-block-compiled tier, and the profile-guided trace tier), verifies
-their architectural counters are bit-identical, and reports the
-decoded/reference, block/decoded, and trace/decoded speedups.  The
-trace tier is measured end-to-end through its profile-guided path: a
-profiled block-tier warmup run supplies the per-block counts that
-drive region selection.  Also times a small suite serially vs with two
-worker processes to exercise the ``repro.perf`` fan-out.
+Runs one generated benchmark under every scheme with all three CPU
+backends (reference isinstance loop, pre-decoded dispatch, and the
+profile-guided trace tier), verifies their architectural counters are
+bit-identical, and reports the decoded/reference and trace/decoded
+speedups.  The trace tier is measured end-to-end through its
+profile-guided path: a profiled warmup run (compiled region-free)
+supplies the per-block counts that drive region selection.  Also times
+a small suite serially vs with two worker processes to exercise the
+``repro.perf`` fan-out.
 
 Wall-clock in shared containers is noisy (same code can swing tens of
 percent between batches), so each scheme is measured as *interleaved*
@@ -18,9 +18,9 @@ minima -- the minimum estimates the noise-free cost, and interleaving
 keeps slow phases from landing on one side only.
 
 Appends one entry to ``BENCH_interp.json`` (see repro.perf.trajectory)
-so throughput can be tracked across commits, and fails when the block
+so throughput can be tracked across commits, and fails when the trace
 tier's geomean steps/s regresses more than ``--max-block-regression``
-below the trajectory's previous block-tier entry.
+below the trajectory's previous trace-tier entry.
 
 Usage::
 
@@ -47,7 +47,6 @@ from repro.core.config import SCHEMES
 from repro.core.framework import protect
 from repro.hardware import (
     CPU,
-    block_compile,
     decode_module,
     invalidate_decode_cache,
     trace_compile,
@@ -84,25 +83,24 @@ def _check_identical(name, reference, other, tier):
         raise AssertionError(f"{name}: opcode_counts diverged ({tier})")
 
 
-TIERS = ("reference", "decoded", "block", "trace")
+TIERS = ("reference", "decoded", "trace")
 
 
 def measure_scheme(module, inputs, seed, repeat):
-    """Interleaved min-of-``repeat`` timing of all four backends.
+    """Interleaved min-of-``repeat`` timing of all three backends.
 
     The trace tier is exercised through its profile-guided path: a
-    profiled warmup run under the block tier collects per-block
-    execution counts, and those counts seed region selection.  The
+    profiled warmup run collects per-block execution counts, and those
+    counts seed region selection.  The
     warmup and ``trace_compile`` happen before the timed loop, so the
     reported ``trace_seconds`` is pure execution (compile time is
     reported separately, like ``decode_seconds``).
     """
     invalidate_decode_cache(module)
     _, decode_seconds = decode_module(module)
-    _, block_seconds = block_compile(module)
 
     profiler = ExecutionProfiler()
-    CPU(module, seed=seed, interpreter="block", profiler=profiler).run(
+    CPU(module, seed=seed, interpreter="trace", profiler=profiler).run(
         inputs=list(inputs)
     )
     trace_profile = profiler.block_counts()
@@ -123,7 +121,7 @@ def measure_scheme(module, inputs, seed, repeat):
             elapsed = time.perf_counter() - start
             best[interpreter] = min(best[interpreter], elapsed)
             results[interpreter] = result
-    return best, results, decode_seconds, block_seconds, trace_seconds
+    return best, results, decode_seconds, trace_seconds
 
 
 def geomean(values):
@@ -145,31 +143,25 @@ def main(argv=None) -> int:
         help="fail if the geomean decoded/reference speedup falls below this",
     )
     parser.add_argument(
-        "--min-block-speedup",
-        type=float,
-        default=1.8,
-        help="fail if the geomean block/decoded speedup falls below this",
-    )
-    parser.add_argument(
         "--min-trace-speedup",
         type=float,
         default=2.5,
         help="fail if the geomean trace/decoded speedup falls below this "
         "(measured ~3.2-3.4x on 502.gcc_r; the floor sits below the "
-        "shared-runner noise band, like the block tier's 1.8 vs ~2.3)",
+        "shared-runner noise band)",
     )
     parser.add_argument(
         "--baseline",
         default=None,
-        help="trajectory file to check block-tier regression against "
+        help="trajectory file to check trace-tier regression against "
         "(defaults to --out)",
     )
     parser.add_argument(
         "--max-block-regression",
         type=float,
         default=0.10,
-        help="fail if block-tier steps/s drops more than this fraction "
-        "below the baseline trajectory's last block entry (negative "
+        help="fail if trace-tier steps/s drops more than this fraction "
+        "below the baseline trajectory's last trace entry (negative "
         "disables the check)",
     )
     parser.add_argument(
@@ -192,61 +184,48 @@ def main(argv=None) -> int:
 
     scheme_entries = {}
     speedups = []
-    block_speedups = []
     trace_speedups = []
     for scheme in SCHEMES:
         protected = protect(module, scheme=scheme)
-        best, results, decode_seconds, block_seconds, trace_seconds = (
+        best, results, decode_seconds, trace_seconds = (
             measure_scheme(protected.module, program.inputs, args.seed, args.repeat)
         )
         name = f"{args.profile}/{scheme}"
         _check_identical(name, results["reference"], results["decoded"], "decoded")
-        _check_identical(name, results["reference"], results["block"], "block")
         _check_identical(name, results["reference"], results["trace"], "trace")
         speedup = best["reference"] / best["decoded"]
-        block_speedup = best["decoded"] / best["block"]
         trace_speedup = best["decoded"] / best["trace"]
         steps = results["decoded"].steps
         steps_per_second = steps / best["decoded"]
-        block_steps_per_second = steps / best["block"]
         trace_steps_per_second = steps / best["trace"]
         speedups.append(speedup)
-        block_speedups.append(block_speedup)
         trace_speedups.append(trace_speedup)
         scheme_entries[scheme] = {
             "reference_seconds": round(best["reference"], 6),
             "decoded_seconds": round(best["decoded"], 6),
-            "block_seconds": round(best["block"], 6),
             "trace_seconds": round(best["trace"], 6),
             "decode_seconds": round(decode_seconds, 6),
-            "block_compile_seconds": round(block_seconds, 6),
             "trace_compile_seconds": round(trace_seconds, 6),
             "speedup": round(speedup, 3),
-            "block_speedup": round(block_speedup, 3),
             "trace_speedup": round(trace_speedup, 3),
             "steps": steps,
             "steps_per_second": round(steps_per_second, 1),
-            "block_steps_per_second": round(block_steps_per_second, 1),
             "trace_steps_per_second": round(trace_steps_per_second, 1),
         }
         print(
             f"  {scheme:8s} reference={best['reference'] * 1e3:8.2f}ms "
             f"decoded={best['decoded'] * 1e3:8.2f}ms "
-            f"block={best['block'] * 1e3:8.2f}ms "
             f"trace={best['trace'] * 1e3:8.2f}ms "
-            f"decoded/ref={speedup:5.2f}x block/decoded={block_speedup:5.2f}x "
+            f"decoded/ref={speedup:5.2f}x "
             f"trace/decoded={trace_speedup:5.2f}x "
             f"({trace_steps_per_second:,.0f} steps/s trace) counters identical"
         )
 
     geomean_speedup = geomean(speedups)
-    geomean_block = geomean(block_speedups)
     geomean_trace = geomean(trace_speedups)
     print(
         f"geomean decoded/reference: {geomean_speedup:.2f}x "
         f"(min {min(speedups):.2f}x); "
-        f"geomean block/decoded: {geomean_block:.2f}x "
-        f"(min {min(block_speedups):.2f}x); "
         f"geomean trace/decoded: {geomean_trace:.2f}x "
         f"(min {min(trace_speedups):.2f}x)"
     )
@@ -259,8 +238,6 @@ def main(argv=None) -> int:
         "schemes": scheme_entries,
         "geomean_speedup": round(geomean_speedup, 3),
         "min_speedup": round(min(speedups), 3),
-        "geomean_block_speedup": round(geomean_block, 3),
-        "min_block_speedup": round(min(block_speedups), 3),
         "geomean_trace_speedup": round(geomean_trace, 3),
         "min_trace_speedup": round(min(trace_speedups), 3),
     }
@@ -307,13 +284,6 @@ def main(argv=None) -> int:
         print(
             f"FAIL: geomean decoded speedup {geomean_speedup:.2f}x below "
             f"threshold {args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        failed = True
-    if geomean_block < args.min_block_speedup:
-        print(
-            f"FAIL: geomean block speedup {geomean_block:.2f}x below "
-            f"threshold {args.min_block_speedup:.2f}x",
             file=sys.stderr,
         )
         failed = True

@@ -86,7 +86,7 @@ def measure_cold(source_path: str, inputs, seed: int, runs: int) -> float:
         "--scheme",
         "pythia",
         "--interpreter",
-        "block",
+        "trace",
         "--seed",
         str(seed),
     ]
@@ -159,7 +159,7 @@ def main(argv=None) -> int:
             handle.write(program.source)
 
         print(f"cold baseline: python -m repro run x{args.cold_runs} "
-              f"({program.profile.name}, pythia, block tier)")
+              f"({program.profile.name}, pythia, trace tier)")
         cold_seconds = measure_cold(source_path, inputs, args.seed, args.cold_runs)
         print(f"  cold min: {cold_seconds * 1e3:.1f}ms")
 
@@ -176,7 +176,7 @@ def main(argv=None) -> int:
                 "scheme": "pythia",
                 "seed": args.seed,
                 "inputs": inputs,
-                "interpreter": "block",
+                "interpreter": "trace",
             }
             with ServeClient(socket_path=socket_path) as client:
                 warm_latencies = measure_warm(client, warm_request, args.warm_runs)
@@ -191,7 +191,7 @@ def main(argv=None) -> int:
                 args.requests,
                 seed=args.seed,
                 variants=args.variants,
-                interpreter="block",
+                interpreter="trace",
             )
             sweep = []
             best = None

@@ -138,11 +138,6 @@ class ReachingDefinitions:
         self.block_out: Dict[BasicBlock, Set[int]] = {}
         self._solve()
 
-    def _def_pointer(self, mdef: MemoryDef) -> Optional[object]:
-        if isinstance(mdef.inst, Store):
-            return mdef.inst.pointer
-        return None
-
     def _strong_object(self, mdef: MemoryDef):
         """The single object ``mdef`` fully overwrites, or ``None``.
 

@@ -52,7 +52,7 @@ from .core import (
     protect,
 )
 from .frontend import CodegenError, CParseError, LexError, SemaError, compile_source
-from .hardware import CPU, INTERPRETERS
+from .hardware import CPU, INTERPRETER_ALIASES, INTERPRETERS
 from .hardware.errors import ReproError
 from .ir import print_module
 from .ir.verifier import VerificationError
@@ -91,6 +91,9 @@ EXIT_CODES = {
 #: MiniC front-end failures: invalid *input*, not framework bugs.
 _FRONTEND_ERRORS = (LexError, CParseError, SemaError, CodegenError)
 
+#: ``--interpreter`` values: every backend plus the retired aliases.
+_INTERPRETER_CHOICES = INTERPRETERS + tuple(INTERPRETER_ALIASES)
+
 
 def _read_source(path: str) -> str:
     if path == "-":
@@ -116,8 +119,8 @@ def _load_trace_profile(path: str) -> dict:
     if counts is None:
         raise ReproError(
             f"{path} carries no per-block execution counts (expected a "
-            f"{PROFILE_SCHEMA} report from --profile-out under the block "
-            f"or trace tier)"
+            f"{PROFILE_SCHEMA} report from --profile-out under the trace "
+            f"tier)"
         )
     return counts
 
@@ -469,7 +472,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     cpu = CPU(
         protected.module,
         seed=args.seed,
-        interpreter=args.interpreter or "block",
+        interpreter=args.interpreter or "trace",
         profiler=profiler,
     )
     result = cpu.run(inputs=_parse_inputs(args.input))
@@ -733,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--interpreter",
-        choices=INTERPRETERS,
+        choices=_INTERPRETER_CHOICES,
         default=None,
         help="CPU backend (default: pre-decoded dispatch)",
     )
@@ -747,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="run under the execution profiler and write its report "
-        "(per-block counts need --interpreter block or trace)",
+        "(per-block counts need --interpreter trace)",
     )
     p.add_argument(
         "--profile-in",
@@ -774,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument(
         "--interpreter",
-        choices=INTERPRETERS,
+        choices=_INTERPRETER_CHOICES,
         default=None,
         help="CPU backend (default: pre-decoded dispatch)",
     )
@@ -806,7 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--interpreter",
-        choices=INTERPRETERS,
+        choices=_INTERPRETER_CHOICES,
         default=None,
         help="CPU backend (default: pre-decoded dispatch)",
     )
@@ -868,7 +871,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument(
         "--interpreter",
-        choices=INTERPRETERS,
+        choices=_INTERPRETER_CHOICES,
         default=None,
         help="CPU backend (default: pre-decoded dispatch)",
     )
@@ -933,9 +936,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--interpreter",
-        choices=INTERPRETERS,
+        choices=_INTERPRETER_CHOICES,
         default=None,
-        help="CPU backend (default: block, the fastest tier)",
+        help="CPU backend (default: trace, with per-block attribution)",
     )
     p.add_argument(
         "--top",
@@ -1079,9 +1082,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--interpreter",
-        choices=INTERPRETERS,
-        default="block",
-        help="interpreter requested for run/profile ops (default: block)",
+        choices=_INTERPRETER_CHOICES,
+        default="trace",
+        help="interpreter requested for run/profile ops (default: trace)",
     )
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument(

@@ -29,14 +29,6 @@ class TypeRef(Node):
     pointer_depth: int = 0
     array_dims: Tuple[int, ...] = ()
 
-    def with_pointer(self) -> "TypeRef":
-        return TypeRef(
-            base=self.base,
-            pointer_depth=self.pointer_depth + 1,
-            array_dims=self.array_dims,
-            line=self.line,
-        )
-
 
 # ---------------------------------------------------------------------------
 # Expressions

@@ -6,7 +6,6 @@ C library models, and the IR interpreter (CPU) tying them together.
 """
 
 from .allocator import HeapAllocator, OutOfMemoryError, SectionedHeap
-from .blockc import BlockProgram, block_compile
 from .cache import CacheModel
 from .cpu import (
     CPU,
@@ -14,6 +13,7 @@ from .cpu import (
     DFI_EXTERNAL_WRITER,
     DfiTrap,
     ExecutionResult,
+    INTERPRETER_ALIASES,
     INTERPRETERS,
     NullPointerTrap,
     ProgramExit,
@@ -53,8 +53,6 @@ from .timing import (
 
 __all__ = [
     "ADDR_MASK",
-    "block_compile",
-    "BlockProgram",
     "CacheModel",
     "CanaryRng",
     "CanaryTrap",
@@ -70,6 +68,7 @@ __all__ = [
     "HEAP_SECTIONING_CYCLES",
     "HEAP_SHARED_BASE",
     "HeapAllocator",
+    "INTERPRETER_ALIASES",
     "INTERPRETERS",
     "invalidate_decode_cache",
     "LIBRARY",

@@ -1,10 +1,11 @@
-"""Block-compiled execution engine: tier 3 of the interpreter stack.
+"""Per-block code generation for the compiled ("trace") tier.
 
 The decoded tier (:mod:`repro.hardware.decoder`) removed operand and
 opcode dispatch but still pays one Python call per dynamic instruction
 (``handler(cpu, frame)``) plus per-instruction step/timing bookkeeping
-in the interpreter loop.  This module removes both: every decoded basic
-block is fused into a *single generated Python function* that
+in the interpreter loop.  This module is the op-emitter library that
+:mod:`repro.hardware.tracec` compiles with: it fuses one decoded basic
+block into a *single generated Python function* that
 
 - inlines the straight-line handler bodies (loads, stores, geps, int
   arithmetic, compares, casts, selects, PAC and DFI intrinsics) as
@@ -13,11 +14,16 @@ block is fused into a *single generated Python function* that
   bounded-width issue model into one update per *chunk* (a maximal run
   of ops with no interpreter re-entry), using tables precomputed for
   every possible entry state of the cheap-op run counter;
-- folds phi routing into per-CFG-edge closures doing one parallel
-  tuple assignment;
+- applies the phi routing of the edge it takes inline, in its
+  terminator;
 - direct-threads control flow: each generated function returns the
   pre-built ``(successor, edge)`` pair, so the driver loop in
   :meth:`CPU._interpret_block` is two tuple indexings per block.
+
+The trace compiler uses :func:`_gen_block` for every block outside a
+fused region; a program compiled with an empty profile selects no
+regions, so every block is its own unit -- the per-block program
+profiled runs attribute to.
 
 Bit-identity with the reference interpreter
 -------------------------------------------
@@ -36,27 +42,23 @@ model is a dyadic rational (integer costs, 0.25-per-byte library
 calls), so float accumulation is exact and order-insensitive.
 
 Batched accounting bakes in ``DEFAULT_COSTS`` and the default issue
-width; :meth:`CPU._call` only dispatches here while the timing model
-still matches, and falls back to the decoded tier otherwise.  A block
-whose execution could cross the step limit is delegated, pending phi
-routing included, to the decoded loop, which raises
-``StepLimitExceeded`` at exactly the right op.
+width; :meth:`CPU._call` only dispatches to compiled code while the
+timing model still matches, and falls back to the decoded tier
+otherwise.  A block whose execution could cross the step limit is
+delegated, pending phi routing included, to the decoded loop, which
+raises ``StepLimitExceeded`` at exactly the right op.
 
-Like the decoded tier, compiled programs are cached on the module
-(fingerprint-guarded) and dropped by
-:func:`repro.hardware.decoder.invalidate_decode_cache`.  The deliberate
-divergence on *malformed, unverified* IR is shared with the decoded
-tier (``KeyError`` instead of the reference ``RuntimeError``), with one
-addition: a phi-routing ``KeyError`` on a malformed edge surfaces with
-the whole edge's phi charges applied rather than a prefix.
+The deliberate divergence on *malformed, unverified* IR is shared with
+the decoded tier (``KeyError`` instead of the reference
+``RuntimeError``), with one addition: a phi-routing ``KeyError`` on a
+malformed edge surfaces with the whole edge's phi charges applied
+rather than a prefix.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Tuple
 
-from ..ir.function import Function
 from ..ir.instructions import (
     Alloca,
     BinOp,
@@ -76,18 +78,12 @@ from ..ir.instructions import (
     Select,
     Store,
 )
-from ..ir.module import Module
 from ..ir.types import IntType
 from .decoder import (
     DecodedBlock,
-    _DECODED_MODULES,
-    _fingerprint,
     _gep_plan,
     _spec,
-    decode_module,
 )
-from .errors import CanaryTrap, DfiTrap, NullPointerTrap
-from .memory import MemoryFault
 from .timing import DEFAULT_COSTS
 
 _MASK64 = (1 << 64) - 1
@@ -103,43 +99,35 @@ BLOCK_ISSUE_WIDTH = 4
 #: before the pair is returned).
 BLOCK_RET = object()
 
-#: Attribute under which a module carries its cached block compile
-#: (mirrors ``decoder._DECODE_ATTR``; see the comment there for why the
-#: cache lives on the module).
-_BLOCK_ATTR = "_block_program"
-
 
 class BlockCode:
-    """One basic block compiled to a fused function."""
+    """One compiled code unit: a basic block, or a region of ``blocks``.
 
-    __slots__ = ("fn", "dblock", "nsteps", "meta", "self_pair", "label")
+    The CPU's block drivers (:meth:`CPU._interpret_block` and its
+    profiled twin) dispatch every unit alike.  For a region, ``nsteps``
+    is the *header* block's step count (the driver's entry guard; every
+    fused block repeats the same guard inside the generated function),
+    ``dblock`` is the header's decoded twin and ``label`` the header's
+    tag.
+    """
 
-    def __init__(self, dblock: DecodedBlock, nsteps: int, label: str = ""):
+    __slots__ = ("fn", "dblock", "nsteps", "meta", "self_pair", "label", "blocks")
+
+    def __init__(
+        self, dblock: DecodedBlock, nsteps: int, label: str = "", blocks: int = 1
+    ):
         self.fn = None
         #: the decoded twin, for step-limit delegation
         self.dblock = dblock
-        #: dynamic steps one full execution of this block retires
+        #: dynamic steps one full execution of the (entry) block retires
         self.nsteps = nsteps
         self.meta: Optional["_BlockMeta"] = None
         #: the ``(self, None)`` pair terminators and entries hand the driver
         self.self_pair = (self, None)
         #: ``function:block`` tag the profiled block driver attributes to
         self.label = label
-
-
-class BlockProgram:
-    """All defined functions of one module, block-compiled."""
-
-    __slots__ = ("functions", "fingerprint", "compile_seconds", "issue_width", "sources")
-
-    def __init__(self, fingerprint: tuple):
-        #: Function -> entry BlockCode
-        self.functions: Dict[Function, BlockCode] = {}
-        self.fingerprint = fingerprint
-        self.compile_seconds = 0.0
-        self.issue_width = BLOCK_ISSUE_WIDTH
-        #: Function -> generated source, kept for debugging
-        self.sources: Dict[Function, str] = {}
+        #: number of basic blocks fused into this unit
+        self.blocks = blocks
 
 
 class _BlockMeta:
@@ -962,135 +950,3 @@ def _emit_term(
         _emit_goto(gen, pairs[(dblock, 0)], true_route, k, indent=4)
         _emit_goto(gen, pairs[(dblock, 1)], false_route, k)
 
-
-def _compile_function(
-    function: Function, entry: DecodedBlock, layout
-) -> Tuple[BlockCode, str]:
-    # Collect every decoded block reachable from the entry, in a stable
-    # order, plus the phi edges between them.
-    order: List[DecodedBlock] = []
-    seen = {id(entry)}
-    worklist = [entry]
-    while worklist:
-        dblock = worklist.pop(0)
-        order.append(dblock)
-        term = dblock.term
-        successors = ()
-        if term[0] == "jump":
-            successors = (term[1],)
-        elif term[0] == "br":
-            successors = (term[2], term[3])
-        for successor in successors:
-            if id(successor) not in seen:
-                seen.add(id(successor))
-                worklist.append(successor)
-
-    codes: Dict[int, BlockCode] = {}
-    for dblock in order:
-        nsteps = len(dblock.ops) + (0 if dblock.term[0] == "fall" else 1)
-        codes[id(dblock)] = BlockCode(
-            dblock, nsteps, f"{function.name}:{dblock.source.name}"
-        )
-
-    gen = _FnGen(f"<blockc:{function.name}>")
-    gen.lines.append("def _make_blocks(_C):")
-    gen.lines.append("")  # placeholder: unpack of _C, patched below
-
-    # Shared helpers come first so their names are stable.
-    for helper, name in (
-        (_trap_fixup, "_FIX"),
-        (BLOCK_RET, "_RET"),
-        (NullPointerTrap, "_NPT"),
-        (CanaryTrap, "_CT"),
-        (DfiTrap, "_DT"),
-        (MemoryFault, "_MF"),
-    ):
-        gen.consts.append(helper)
-        gen.const_names.append(name)
-        gen._by_id[id(helper)] = name
-
-    # Successor pairs, pre-built so the generated terminators return
-    # them directly; phi routes compile inline into the terminators.
-    pairs: Dict[tuple, str] = {}
-    routes: Dict[tuple, object] = {}
-    ret_pairs: Dict[DecodedBlock, str] = {}
-    for dblock in order:
-        term = dblock.term
-        if term[0] == "ret":
-            spec = term[1]
-            if spec is None:
-                ret_pairs[dblock] = gen.bind((BLOCK_RET, None), "R")
-            elif spec[0]:
-                ret_pairs[dblock] = gen.bind((BLOCK_RET, spec[1]), "R")
-            continue
-        if term[0] == "jump":
-            successors = (term[1],)
-        elif term[0] == "br":
-            successors = (term[2], term[3])
-        else:
-            continue
-        for slot, successor in enumerate(successors):
-            route = successor.phi_routes.get(dblock)
-            if route is not None:
-                routes[(dblock, slot)] = route
-            pairs[(dblock, slot)] = gen.bind(
-                codes[id(successor)].self_pair, "S"
-            )
-
-    # Generate the block functions.
-    local_plan = _plan_locals(order)
-    targets: List[BlockCode] = []
-    for index, dblock in enumerate(order):
-        meta = _BlockMeta()
-        code = codes[id(dblock)]
-        code.meta = meta
-        _gen_block(
-            gen,
-            f"_b{index}",
-            dblock,
-            layout,
-            meta,
-            pairs,
-            routes,
-            ret_pairs,
-            local_plan[id(dblock)],
-        )
-        targets.append(code)
-
-    gen.emit(f"return ({', '.join(gen.fn_names)},)", indent=1)
-    gen.lines[1] = "    ({},) = _C".format(", ".join(gen.const_names))
-
-    source = "\n".join(gen.lines)
-    namespace: Dict[str, object] = {}
-    exec(compile(source, gen.filename, "exec"), namespace)
-    functions = namespace["_make_blocks"](tuple(gen.consts))
-    for target, fn in zip(targets, functions):
-        target.fn = fn
-
-    return codes[id(entry)], source
-
-
-def block_compile(module: Module) -> Tuple[BlockProgram, float]:
-    """Block-compile ``module`` (or return the cached program).
-
-    Returns ``(program, seconds)`` where ``seconds`` is the compile time
-    spent by *this* call -- ``0.0`` on a cache hit.  Decoding happens
-    first (and is itself cached); the block tier compiles *from* the
-    decoded program so both tiers agree on specialisation decisions.
-    """
-    fingerprint = _fingerprint(module)
-    cached = getattr(module, _BLOCK_ATTR, None)
-    if cached is not None and cached.fingerprint == fingerprint:
-        return cached, 0.0
-    start = time.perf_counter()
-    decoded, _ = decode_module(module)
-    program = BlockProgram(fingerprint)
-    for function, entry in decoded.functions.items():
-        code, source = _compile_function(function, entry, decoded.global_layout)
-        program.functions[function] = code
-        program.sources[function] = source
-    elapsed = time.perf_counter() - start
-    program.compile_seconds = elapsed
-    setattr(module, _BLOCK_ATTR, program)
-    _DECODED_MODULES.add(module)
-    return program, elapsed

@@ -13,23 +13,29 @@ Executions are deterministic given the seed, and every run accumulates
 the counters the paper's evaluation reports: cycles, IPC, dynamic PA
 instruction counts, input-channel invocations, allocator statistics.
 
-Two interpreter backends execute the same semantics:
+Three interpreter backends execute the same semantics:
 
 - ``decoded`` (the default): walks blocks pre-compiled by
   :mod:`repro.hardware.decoder` into bound handler closures -- operand
   kinds resolved once, constants folded, GEP strides pre-multiplied.
 - ``reference``: the original ``isinstance``-dispatch interpreter,
   kept as the semantic oracle (see the golden-equivalence test suite).
+- ``trace``: runs code generated by :mod:`repro.hardware.tracec` --
+  hot regions fused into single Python functions, every other block
+  compiled on its own -- and falls back to ``decoded`` whenever its
+  batched accounting cannot be trusted.  ``block`` is accepted as an
+  alias of ``trace``.
 
 Select with ``CPU(..., interpreter="reference")`` or the
 ``REPRO_INTERPRETER`` environment variable.
 
 Passing ``profiler=ExecutionProfiler()`` attributes retired steps and
 cycles per function (all tiers; counter deltas read once per dynamic
-call) and per basic block (block tier only, one delta per block
-execution).  The ``profiler is None`` check sits in :meth:`_call` and
-in the block-driver selection -- never inside a per-instruction loop --
-so an unprofiled run keeps the block tier's throughput.
+call) and per basic block (trace tier only, one delta per block
+execution: a profiled trace run compiles region-free, so every block is
+its own unit).  The ``profiler is None`` check sits in :meth:`_call`
+and in the block-driver selection -- never inside a per-instruction
+loop -- so an unprofiled run keeps the trace tier's throughput.
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ from ..ir.module import Module
 from ..ir.types import ArrayType, I64, IntType, PointerType, StructType
 from ..ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
 from .allocator import OutOfMemoryError, SectionedHeap
-from .blockc import BLOCK_RET, block_compile
+from .blockc import BLOCK_RET
 from .cache import CacheModel
 from .decoder import (
     DecodedBlock,
@@ -99,7 +105,11 @@ from .timing import DEFAULT_COSTS, TimingModel
 _MASK64 = (1 << 64) - 1
 
 #: Interpreter backends accepted by :class:`CPU`.
-INTERPRETERS = ("decoded", "reference", "block", "trace")
+INTERPRETERS = ("decoded", "reference", "trace")
+
+#: Retired backend names still accepted, and the backend they run (and
+#: report in :attr:`ExecutionResult.interpreter`).
+INTERPRETER_ALIASES = {"block": "trace"}
 
 #: Shared infinite default-writer iterator for bulk shadow lookups
 #: (``map`` stops at the shortest input, so sharing one is safe).
@@ -296,11 +306,6 @@ class ExecutionResult:
     interpreter: str = "decoded"
 
     @property
-    def cache_miss_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_misses / total if total else 0.0
-
-    @property
     def steps_per_second(self) -> float:
         """Dynamic IR steps retired per wall-clock second."""
         if self.wall_seconds <= 0:
@@ -379,6 +384,7 @@ class CPU:
         self.call_fault_hook = None
         if interpreter is None:
             interpreter = os.environ.get("REPRO_INTERPRETER", "decoded")
+        interpreter = INTERPRETER_ALIASES.get(interpreter, interpreter)
         if interpreter not in INTERPRETERS:
             raise UnknownInterpreterError(
                 f"unknown interpreter {interpreter!r}; expected one of {INTERPRETERS}"
@@ -389,19 +395,16 @@ class CPU:
         self._block = None
         if interpreter == "decoded":
             self._decoded, self.decode_seconds = decode_module(module)
-        elif interpreter == "block":
-            # The block tier compiles from the decoded program and falls
+        elif interpreter == "trace":
+            # The trace tier compiles from the decoded program and falls
             # back to it whenever batched accounting cannot be trusted
             # (non-default costs or issue width, step-limit crossings).
-            self._decoded, decode_seconds = decode_module(module)
-            self._block, compile_seconds = block_compile(module)
-            self.decode_seconds = decode_seconds + compile_seconds
-        elif interpreter == "trace":
-            # The trace tier reuses the block drivers (RegionCode mirrors
-            # BlockCode), so it plugs into the same dispatch slot and
-            # inherits the same decoded-tier fallbacks.  ``trace_profile``
-            # is the warmup run's per-block execution counts; without it,
-            # regions are selected statically.
+            # ``trace_profile`` is the warmup run's per-block execution
+            # counts; without it, regions are selected statically.  A
+            # profiled run compiles with an empty profile, which selects
+            # no regions, so the profiler attributes every block.
+            if profiler is not None:
+                trace_profile = {}
             self._decoded, decode_seconds = decode_module(module)
             self._block, compile_seconds = trace_compile(module, trace_profile)
             self.decode_seconds = decode_seconds + compile_seconds
@@ -409,7 +412,7 @@ class CPU:
         self._layout_globals()
 
     def _refresh_block_fast(self) -> None:
-        """Cache whether the block/trace program's batched accounting
+        """Cache whether the trace program's batched accounting
         matches this CPU's timing model.
 
         The comparison includes a dict equality over the full cost
@@ -572,7 +575,7 @@ class CPU:
             return self._call_external(function, args)
         if self.call_fault_hook is not None:
             # Defined-function calls only: externals dispatch straight to
-            # _call_external in the block/trace tiers, so hooking after
+            # _call_external in the trace tier, so hooking after
             # the declaration check keeps the event stream identical
             # across all interpreter tiers.
             function = self.call_fault_hook.on_call(self, function, args)
@@ -592,7 +595,7 @@ class CPU:
             self.frame_slots.append(self._layout_frame(function, frame))
             self.frames.append((function, frame))
             try:
-                # Dispatch inline rather than via _interpret: recursion
+                # Dispatch inline rather than via a helper: recursion
                 # in the simulated program recurses through here, and
                 # the simulated 256-frame stack limit must fire before
                 # Python's own recursion limit does.
@@ -657,15 +660,7 @@ class CPU:
         result = lib.handler(self, args)
         return result if result is None else result & _MASK64
 
-    def _interpret(self, function: Function, frame: Dict[Value, int]) -> Optional[int]:
-        decoded = self._decoded
-        if decoded is not None:
-            entry = decoded.functions.get(function)
-            if entry is not None:
-                return self._interpret_decoded(entry, frame)
-        return self._interpret_reference(function, frame)
-
-    # -- block-compiled backend --------------------------------------------------
+    # -- compiled (trace) backend ------------------------------------------------
 
     def _interpret_block(self, entry, frame: Dict[Value, int]) -> Optional[int]:
         # Direct-threaded driver: each generated block function applies

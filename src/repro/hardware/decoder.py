@@ -215,7 +215,7 @@ def _gep_plan(
 ) -> Optional[Tuple[bool, object, int, Tuple[Tuple[Value, int], ...]]]:
     """Resolve a gep to ``(base_c, base_v, const_off, dyn_terms)``.
 
-    Shared by the decoded and block tiers so both make identical
+    Shared by the decoded and compiled tiers so both make identical
     specialisation decisions.  Returns ``None`` for a malformed gep
     (the reference interpreter raises at runtime) and raises
     ``_DecodeFallback`` for a dynamic struct index.
@@ -661,11 +661,11 @@ def _fingerprint(module: Module) -> tuple:
 _DECODE_ATTR = "_decoded_program"
 
 #: Every per-module execution cache dropped by invalidation: the decode
-#: itself plus the block and trace compiles layered on top of it (see
-#: :mod:`repro.hardware.blockc` and :mod:`repro.hardware.tracec`).
+#: itself plus the per-block and region-selected trace compiles layered
+#: on top of it (see :mod:`repro.hardware.tracec`).
 _CACHE_ATTRS = (_DECODE_ATTR, "_block_program", "_trace_program", "_cpu_meta")
 
-#: Weak registry of modules carrying a cached decode or block compile,
+#: Weak registry of modules carrying a cached decode or trace compile,
 #: for whole-process invalidation.
 _DECODED_MODULES: "WeakSet[Module]" = WeakSet()
 

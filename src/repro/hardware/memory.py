@@ -173,7 +173,7 @@ class Memory:
             return _unpack_u16(data, offset)[0]
         return int.from_bytes(data[offset:end], "little")
 
-    # Sized fast paths: the block/trace tiers emit these when the access
+    # Sized fast paths: the trace tier emits these when the access
     # width is a compile-time constant, skipping read_int's size
     # dispatch and one argument per call.  The guard (window hit and the
     # span already materialised) implies the access is in bounds, so any

@@ -1,13 +1,13 @@
-"""Trace/superblock execution engine: tier 4 ("trace") of the stack.
+"""Trace/superblock execution engine: the compiled ("trace") tier.
 
-The block tier (:mod:`repro.hardware.blockc`) fused each basic block
+Per-block code (:mod:`repro.hardware.blockc`) fuses each basic block
 into one generated function but still pays a driver round-trip -- one
 Python call, one step-limit guard, two tuple indexings -- per dynamic
 *block*.  This module fuses whole **regions**: natural loops (plus the
 superblock chains hanging off their headers) and, for small functions,
 the entire function body, selected with the per-block hot-spot counts
-an :class:`~repro.observability.ExecutionProfiler` collected under the
-block tier (or statically, when no profile is given).  One generated
+an :class:`~repro.observability.ExecutionProfiler` collected on a
+profiled run (or statically, when no profile is given).  One generated
 function per region
 
 - inlines every member block's handler statements, so a loop iteration
@@ -36,23 +36,28 @@ function per region
   the hit test and the store require ``pac.fault_hook is None`` so
   chaos injection always sees the real call.
 
-Side exits fall back exactly like the block tier: a block whose
-execution could cross the step limit first spills its live region
-locals back to the frame, then delegates the rest of the call to the
-decoded loop, which raises ``StepLimitExceeded`` at precisely the
-right op.  Batched accounting and the traceback-line trap fixup are
-shared with the block tier (:func:`blockc._trap_fixup`); a region
-carries one :class:`blockc._BlockMeta` whose op table concatenates all
-member blocks, so the existing fixup repairs a trapping chunk no
-matter which fused block it came from.
+Blocks outside every region compile one unit per block through
+:func:`blockc._gen_block`.  Side exits fall back exactly like those
+per-block units: a block whose execution could cross the step limit
+first spills its live region locals back to the frame, then delegates
+the rest of the call to the decoded loop, which raises
+``StepLimitExceeded`` at precisely the right op.  Batched accounting
+and the traceback-line trap fixup are shared with per-block code
+(:func:`blockc._trap_fixup`); a region carries one
+:class:`blockc._BlockMeta` whose op table concatenates all member
+blocks, so the existing fixup repairs a trapping chunk no matter which
+fused block it came from.
 
 Region selection is profile-guided: ``trace_compile(module, profile)``
 takes the ``"function:block" -> executions`` map exported by
 :func:`repro.observability.profile.hot_block_counts` and skips cold
 functions and cold loops; chains are laid out hottest-successor-first.
-Compiled programs are cached on the module keyed on the structural
-fingerprint *and* a digest of the profile
-(:func:`repro.perf.regions.profile_digest`), and dropped by
+An empty profile therefore selects no regions at all: that region-free
+program is what a profiled run executes, so per-block attribution sees
+every block.  Compiled programs are cached on the module keyed on the
+structural fingerprint *and* a digest of the profile
+(:func:`repro.perf.regions.profile_digest`), the region-free program in
+its own slot, and dropped by
 :func:`repro.hardware.decoder.invalidate_decode_cache`.
 """
 
@@ -103,8 +108,10 @@ from .memory import MemoryFault
 from .pac import ADDR_MASK, PAC_BITS, VA_BITS
 from .timing import DEFAULT_COSTS
 
-#: Attribute under which a module carries its cached trace compile.
+#: Attributes under which a module carries its cached trace compiles:
+#: the region-selected program and the region-free (per-block) one.
 _TRACE_ATTR = "_trace_program"
+_BLOCKS_ATTR = "_block_program"
 
 #: Hard cap on blocks fused into one region; oversized loops are left
 #: to the per-block functions rather than truncated (truncation would
@@ -114,34 +121,6 @@ MAX_REGION_BLOCKS = 48
 #: Functions at or below this many blocks compile as one whole-function
 #: region (header = entry), subsuming their loops entirely.
 WHOLE_FUNCTION_BLOCKS = 24
-
-
-class RegionCode:
-    """One region (superblock set) compiled to a fused function.
-
-    Mirrors :class:`blockc.BlockCode` slot-for-slot so the existing
-    block drivers (:meth:`CPU._interpret_block` and its profiled twin)
-    dispatch regions without modification: ``nsteps`` is the *header*
-    block's step count (the driver's entry guard; every fused block
-    repeats the same guard inside the generated function), ``dblock``
-    is the header's decoded twin (the deopt target), and ``self_pair``
-    is what side exits of other code hand the driver.
-    """
-
-    __slots__ = ("fn", "dblock", "nsteps", "meta", "self_pair", "label", "blocks")
-
-    def __init__(self, dblock: DecodedBlock, nsteps: int, label: str = "",
-                 blocks: int = 1):
-        self.fn = None
-        self.dblock = dblock
-        self.nsteps = nsteps
-        self.meta: Optional[_BlockMeta] = None
-        self.self_pair = (self, None)
-        #: header's ``function:block`` tag, so a trace-tier profile can
-        #: be fed back into region selection (which keys on the header)
-        self.label = label
-        #: number of basic blocks fused into this region
-        self.blocks = blocks
 
 
 class TraceProgram:
@@ -159,8 +138,8 @@ class TraceProgram:
     )
 
     def __init__(self, fingerprint: tuple, profile_digest: Optional[str]):
-        #: Function -> entry code (RegionCode or BlockCode)
-        self.functions: Dict[Function, object] = {}
+        #: Function -> entry BlockCode
+        self.functions: Dict[Function, BlockCode] = {}
         self.fingerprint = fingerprint
         self.profile_digest = profile_digest
         self.compile_seconds = 0.0
@@ -773,7 +752,7 @@ def _emit_region_goto(
     k: int,
     indent: int,
     next_block: Optional[DecodedBlock],
-    codes: Dict[int, object],
+    codes: Dict[int, BlockCode],
     merged: bool,
     flush,
 ) -> None:
@@ -809,7 +788,7 @@ def _emit_region_term(
     k: int,
     d: int,
     next_block: Optional[DecodedBlock],
-    codes: Dict[int, object],
+    codes: Dict[int, BlockCode],
     static_merged: bool,
     fall_merged: bool,
     flush,
@@ -987,7 +966,7 @@ def _chain_segments(chain: List[DecodedBlock]) -> List[Tuple[int, int]]:
     op (a call) ends its segment, because the callee retires an unknown
     number of steps -- the next block must re-check against
     ``max_steps`` before charging anything, which is exactly where the
-    block tier's per-block guard would re-check.  A triggered guard
+    per-block driver's guard would re-check.  A triggered guard
     deopts the whole segment to the decoded oracle from the segment
     head, whose replay retires bit-identical state to running the fused
     blocks one tier down.
@@ -1074,7 +1053,7 @@ def _emit_impure_charges(gen: _FnGen, all_info, s: int) -> None:
     ``timing.cycles`` and ``timing._cheap_run`` itself, so the pending
     local accumulators for those must flush *before* re-entry -- this
     is also what keeps a step-limit or trap raised inside the callee
-    bit-identical to the block tier.  Pending instructions and opcode
+    bit-identical to per-block code.  Pending instructions and opcode
     tallies stay local: the callee only ever adds to them, so the sums
     commute, and every region exit (including the exception handler)
     flushes them.  The caller emits the op statement itself, then
@@ -1096,7 +1075,7 @@ def _gen_region(
     region: _Region,
     layout,
     meta: _BlockMeta,
-    codes: Dict[int, object],
+    codes: Dict[int, BlockCode],
     plan: _RegionPlan,
 ) -> None:
     phi_cost = DEFAULT_COSTS["phi"]
@@ -1105,7 +1084,7 @@ def _gen_region(
     # Chains split into guard segments (see _chain_segments); within a
     # segment the charges of consecutive fused blocks merge into
     # cross-block chunks, splitting only at impure ops (their own chunk,
-    # as in the block tier) and *after* an unresolved conditional branch
+    # as in per-block code) and *after* an unresolved conditional branch
     # (ops beyond it are path-dependent).  Phi routing on edges whose
     # traversal is certain once a chunk runs -- the static (jump /
     # constant-branch) edge out of a block, or the conditional
@@ -1522,7 +1501,7 @@ def _compile_function_trace(
     entry: DecodedBlock,
     layout,
     counts: Optional[Dict[str, float]],
-) -> Tuple[object, str, int, int]:
+) -> Tuple[BlockCode, str, int, int]:
     order = _function_order(entry)
     dom = DominatorTree(function)
     regions = _select_regions(function, order, dom, counts)
@@ -1541,7 +1520,7 @@ def _compile_function_trace(
 
     outside = [d for d in order if id(d) not in region_of]
 
-    codes: Dict[int, object] = {}
+    codes: Dict[int, BlockCode] = {}
     for dblock in outside:
         codes[id(dblock)] = BlockCode(
             dblock,
@@ -1550,7 +1529,7 @@ def _compile_function_trace(
         )
     for region in regions:
         header = region.header
-        codes[id(header)] = RegionCode(
+        codes[id(header)] = BlockCode(
             header,
             _block_steps(header),
             f"{function.name}:{header.source.name}",
@@ -1573,8 +1552,8 @@ def _compile_function_trace(
         gen.const_names.append(name)
         gen._by_id[id(helper)] = name
 
-    # Successor pairs and routes for the non-region blocks, which reuse
-    # the block tier's generator unchanged.  Regions are single-entry,
+    # Successor pairs and routes for the non-region blocks, which
+    # compile one unit per block through blockc._gen_block.  Regions are single-entry,
     # so an outside block's successor is always an outside block or a
     # region *header* -- both have codes.
     pairs: Dict[tuple, str] = {}
@@ -1596,7 +1575,7 @@ def _compile_function_trace(
             pairs[(dblock, slot)] = gen.bind(codes[id(successor)].self_pair, "S")
 
     local_plan = _plan_locals(order)
-    targets: List[object] = []
+    targets: List[BlockCode] = []
     for index, dblock in enumerate(outside):
         meta = _BlockMeta()
         code = codes[id(dblock)]
@@ -1643,7 +1622,7 @@ def trace_compile(
     ``profile`` is the ``"function:block" -> executions`` map from a
     warmup run (:func:`repro.observability.profile.hot_block_counts`);
     ``None`` selects regions statically (every loop plus every small
-    function).  Returns ``(program, seconds)`` where ``seconds`` is the
+    function), and an empty map selects none (one unit per block).  Returns ``(program, seconds)`` where ``seconds`` is the
     compile time spent by *this* call -- ``0.0`` on a cache hit.  The
     cache key is the module's structural fingerprint plus the profile
     digest, so recompiling with a different profile reselects regions.
@@ -1655,8 +1634,13 @@ def trace_compile(
         from ..perf.regions import profile_digest
 
         digest = profile_digest(profile)
+    # An empty profile selects no regions: every block stays its own
+    # unit, which is what profiled runs attribute to.  That program is
+    # cached beside the region-selected one, so a warm module that
+    # alternates profiled and unprofiled runs never recompiles.
+    attr = _TRACE_ATTR if profile is None or profile else _BLOCKS_ATTR
     fingerprint = _fingerprint(module)
-    cached = getattr(module, _TRACE_ATTR, None)
+    cached = getattr(module, attr, None)
     if (
         cached is not None
         and cached.fingerprint == fingerprint
@@ -1676,6 +1660,6 @@ def trace_compile(
         program.fused_blocks += fused
     elapsed = time.perf_counter() - start
     program.compile_seconds = elapsed
-    setattr(module, _TRACE_ATTR, program)
+    setattr(module, attr, program)
     _DECODED_MODULES.add(module)
     return program, elapsed

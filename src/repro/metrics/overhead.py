@@ -101,7 +101,7 @@ class BenchmarkMeasurement:
 #: (cache root, cache key) -> protected Module, already parsed.  Keys
 #: are content addresses, so a memoized module is exactly what parsing
 #: the (digest-verified) entry text would produce; reusing the object
-#: also carries over its attached decode/block caches, so warm runs
+#: also carries over its attached decode/trace caches, so warm runs
 #: skip re-decoding too.  Never consulted when the cache has a fault
 #: hook (chaos runs must see every deserialize).
 _PARSED_MODULES: Dict[tuple, Module] = {}

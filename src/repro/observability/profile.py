@@ -7,11 +7,11 @@ when given an :class:`ExecutionProfiler`, reports
 - per-function **self and inclusive** steps/cycles (deltas of the
   architectural counters read at call entry/exit -- one pair of reads
   per dynamic call, never per instruction);
-- per-basic-block steps/cycles under the block tier, whose driver
-  dispatches one generated function per block execution and therefore
-  attributes whole blocks in one batched delta (the decoded and
-  reference tiers run blocks inside one loop and attribute at function
-  granularity only);
+- per-basic-block steps/cycles under the trace tier, which compiles a
+  profiled run region-free, so its driver dispatches one generated
+  function per block execution and attributes whole blocks in one
+  batched delta (the decoded and reference tiers run blocks inside one
+  loop and attribute at function granularity only);
 - trap events (which defense fired, where the run ended).
 
 Attribution only *reads* the counters the interpreter maintains, so a
@@ -34,7 +34,12 @@ PROFILE_SCHEMA = "repro-profile-v1"
 
 
 class ExecutionProfiler:
-    """Collects per-function / per-block attribution for one run."""
+    """Collects per-function / per-block attribution for one run.
+
+    Per-block records come from the trace tier only: a CPU given a
+    profiler compiles its module region-free, so each block is one
+    dispatch of the block driver.
+    """
 
     __slots__ = ("functions", "blocks", "traps", "_stack")
 
@@ -215,13 +220,7 @@ def format_report(report: Dict[str, Any]) -> List[str]:
             )
     blocks = report.get("blocks") or []
     if blocks:
-        # Under the trace tier the driver attributes whole regions to
-        # their header label, so the table heading says what the rows
-        # actually are; every other tier keeps the historical heading.
-        if totals.get("interpreter") == "trace":
-            lines.append("hot regions (trace tier, by header, by cycles):")
-        else:
-            lines.append("hot blocks (block tier, by cycles):")
+        lines.append("hot blocks (by cycles):")
         lines.append(
             f"  {'block':32s} {'execs':>8s} {'steps':>11s} "
             f"{'cycles':>12s} {'cyc%':>6s}"

@@ -14,7 +14,6 @@ from .runner import (
 from .regions import profile_digest
 from .trajectory import (
     append_entry,
-    block_throughput,
     check_block_regression,
     check_block_regression_file,
     check_serve_regression,
@@ -31,7 +30,6 @@ __all__ = [
     "SuiteError",
     "SuiteResult",
     "TaskFailure",
-    "block_throughput",
     "check_block_regression",
     "check_block_regression_file",
     "check_serve_regression",

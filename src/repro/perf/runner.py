@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import SCHEMES
 from ..hardware.errors import ReproError
-from ..metrics.overhead import BenchmarkMeasurement, measure_program, mean
+from ..metrics.overhead import BenchmarkMeasurement, measure_program
 from ..observability import (
     MetricsRegistry,
     Tracer,
@@ -231,11 +231,6 @@ class SuiteResult:
             scheme.decode_seconds
             for program in self.programs.values()
             for scheme in program.schemes
-        )
-
-    def mean_runtime_overhead(self, scheme: str) -> float:
-        return mean(
-            program.runtime_overhead(scheme) for program in self.programs.values()
         )
 
 

@@ -71,15 +71,6 @@ def _tier_throughput(entry: Dict[str, Any], field: str) -> Optional[float]:
     return math.exp(sum(math.log(rate) for rate in rates) / len(rates))
 
 
-def block_throughput(entry: Dict[str, Any]) -> Optional[float]:
-    """Geomean block-tier steps/s across an entry's schemes.
-
-    Returns ``None`` for entries without block-tier data (written
-    before the block interpreter existed, or by other benchmarks).
-    """
-    return _tier_throughput(entry, "block_steps_per_second")
-
-
 def trace_throughput(entry: Dict[str, Any]) -> Optional[float]:
     """Geomean trace-tier steps/s across an entry's schemes.
 
@@ -90,10 +81,7 @@ def trace_throughput(entry: Dict[str, Any]) -> Optional[float]:
 
 
 #: (display name, per-entry geomean extractor) for every gated tier.
-_GATED_TIERS = (
-    ("block", block_throughput),
-    ("trace", trace_throughput),
-)
+_GATED_TIERS = (("trace", trace_throughput),)
 
 
 def check_block_regression(
@@ -103,7 +91,7 @@ def check_block_regression(
 ) -> Optional[str]:
     """Compare ``entry``'s compiled-tier throughputs to the trajectory.
 
-    Gates every tier in ``_GATED_TIERS`` (block and trace).  For each,
+    Gates every tier in ``_GATED_TIERS`` (the trace tier).  For each,
     returns a human-readable failure message when the new entry's
     geomean steps/s falls more than ``tolerance`` below the most recent
     prior entry carrying that tier's data; tiers missing on either side
@@ -145,7 +133,7 @@ def check_block_regression_file(
     message from :func:`check_block_regression` (``None`` when the
     check passed).  When no comparison is possible -- the file is
     missing, empty, corrupt, or no entry on either side carries
-    block-tier fields -- the check is *skipped* and ``skip_note`` says
+    gated-tier fields -- the check is *skipped* and ``skip_note`` says
     why; a fresh checkout must not fail its first benchmark run over an
     absent baseline.
     """
@@ -165,8 +153,8 @@ def check_block_regression_file(
     )
     if not comparable:
         if all(throughput(entry) is None for _, throughput in _GATED_TIERS):
-            return None, f"{skip} (new entry lacks block-tier fields)"
-        return None, f"{skip} ({path}: no prior entry has block-tier fields)"
+            return None, f"{skip} (new entry lacks gated-tier fields)"
+        return None, f"{skip} ({path}: no prior entry has gated-tier fields)"
     return check_block_regression(entries, entry, tolerance), None
 
 

@@ -52,8 +52,8 @@ Outcome taxonomy
     neither the payload nor the armed fault ever fired (mutated
     injection site out of range); proves nothing about the defense.
 
-Every mutant runs under all four schemes and all three compiled
-interpreter tiers (decoded / block / trace); tier disagreement is
+Every mutant runs under all four schemes and both compiled
+interpreter tiers (decoded / trace); tier disagreement is
 recorded as a contract violation.  Every ``bypassed`` cell is bucketed,
 and one exemplar per bucket is auto-minimized with the ddmin reducer to
 a minimal still-bypassing victim source.
@@ -86,7 +86,7 @@ from .triage import CrashRecord, TriageReport, record_crash, triage
 
 #: Interpreter tiers every mutant is executed under; the first is the
 #: canonical one whose result is classified (the others must agree).
-TIERS = ("decoded", "block", "trace")
+TIERS = ("decoded", "trace")
 
 #: Family -> fault kind armed alongside the payload.  Only the
 #: related-work families carry a fault channel; ``call.retarget`` is a
@@ -503,7 +503,7 @@ def run_campaign(
     """Run a full campaign: ``budget`` mutants spread over ``families``.
 
     Each mutant executes under every scheme and every compiled tier.
-    The block and trace tiers must agree with the decoded tier on
+    The trace tier must agree with the decoded tier on
     status, output, and fired sites; disagreement lands in
     :meth:`CampaignReport.contract_violations`.
     """

@@ -143,7 +143,7 @@ def shard_digest(request: Dict[str, Any]) -> str:
 
     Requests about the same program (or the same attack scenario)
     always land on the same worker, so its warm registry -- parsed IR,
-    analysis results, block/trace code objects -- is reused instead of
+    analysis results, trace code objects -- is reused instead of
     being rebuilt N times across the pool.
     """
     op = request.get("op", "")

@@ -14,7 +14,7 @@ entries):
   remap path (never re-analyzed per scheme);
 - one :class:`~repro.core.framework.ProtectionResult` per
   ``(scheme, protect_fields)`` variant, whose module object also
-  accretes the interpreter tiers' decode/block/trace code caches
+  accretes the interpreter tiers' decode and trace code caches
   across requests -- a warm ``run`` re-executes without re-decoding.
 
 Entries are LRU-bounded (``capacity``); eviction drops the whole entry

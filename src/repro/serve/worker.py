@@ -166,7 +166,7 @@ class RequestHandler:
         cpu = CPU(
             protection.module,
             seed=int(request.get("seed", 2024)),
-            interpreter=request.get("interpreter") or "block",
+            interpreter=request.get("interpreter") or "trace",
             profiler=profiler,
         )
         execution = cpu.run(inputs=_parse_inputs(request))

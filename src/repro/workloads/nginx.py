@@ -146,7 +146,7 @@ def build_request_mix(
     duration: str = "3s",
     variants: int = 3,
     schemes: Sequence[str] = SCHEMES,
-    interpreter: Optional[str] = "block",
+    interpreter: Optional[str] = "trace",
 ) -> List[Dict[str, Any]]:
     """A deterministic list of ``count`` serve-protocol request bodies.
 

@@ -5,9 +5,11 @@ functions (inlined handlers, loop-local registers, hoisted DFI batch
 checks, memoized PAC auth), so every architectural observable must stay
 bit-identical to the decoded oracle and the reference interpreter --
 including mid-region traps (side-exit reconciliation), step-limit
-crossings, and attack scenarios.  Both region-selection modes are
-covered: static (no profile) and profile-guided (warmup counts from
-``ExecutionProfiler``).
+crossings, and attack scenarios.  Three region-selection modes are
+covered: static (no profile), profile-guided (warmup counts from
+``ExecutionProfiler``), and profiled, region-free (a run with a
+profiler attached compiles every block as its own unit, so mid-block
+traps and step-limit delegation go through the per-block code).
 """
 
 from __future__ import annotations
@@ -59,10 +61,26 @@ def run_with(module, interpreter, inputs=(), **kwargs):
     return cpu.run(inputs=list(inputs))
 
 
+#: The unprofiled trace tier (static regions) and the profiled one
+#: (region-free): both must match the oracles bit for bit.
+TRACE_MODES = {
+    "static": lambda: None,
+    "profiled, region-free": ExecutionProfiler,
+}
+
+
+def trace_runs(module, inputs=(), **kwargs):
+    """One trace-tier result per mode in :data:`TRACE_MODES`."""
+    return {
+        mode: run_with(module, "trace", inputs, profiler=make(), **kwargs)
+        for mode, make in TRACE_MODES.items()
+    }
+
+
 def warmup_counts(module, inputs):
-    """Per-block execution counts from a profiled block-tier run."""
+    """Per-block execution counts from a profiled trace-tier run."""
     profiler = ExecutionProfiler()
-    CPU(module, seed=2024, interpreter="block", profiler=profiler).run(
+    CPU(module, seed=2024, interpreter="trace", profiler=profiler).run(
         inputs=list(inputs)
     )
     return profiler.block_counts()
@@ -77,18 +95,18 @@ def profile_program(request):
 
 
 def test_profile_equivalence_all_schemes(profile_program):
-    """Static region selection: every scheme, trace vs decoded vs reference."""
+    """Static and region-free: every scheme, trace vs decoded vs reference."""
     module = profile_program.compile()
     inputs = list(profile_program.inputs)
     for scheme in SCHEMES:
         protected = protect(module, scheme=scheme)
-        context = f"{profile_program.profile.name}/{scheme}"
         reference = run_with(protected.module, "reference", inputs)
         decoded = run_with(protected.module, "decoded", inputs)
-        trace = run_with(protected.module, "trace", inputs)
-        assert trace.ok, context
-        assert_same(reference, trace, f"{context} (vs reference)")
-        assert_same(decoded, trace, f"{context} (vs decoded)")
+        for mode, trace in trace_runs(protected.module, inputs).items():
+            context = f"{profile_program.profile.name}/{scheme} ({mode})"
+            assert trace.ok, context
+            assert_same(reference, trace, f"{context} (vs reference)")
+            assert_same(decoded, trace, f"{context} (vs decoded)")
 
 
 def test_profile_guided_equivalence_all_schemes(profile_program):
@@ -117,23 +135,28 @@ def test_scenario_equivalence_all_schemes(scenario_name):
     for scheme in SCHEMES:
         protected = protect(module, scheme=scheme)
         for run in ("benign", "attack"):
-            runs = {}
-            for interpreter in ("reference", "trace"):
-                if run == "benign":
-                    result = scenario.run_benign(
-                        protected.module, interpreter=interpreter
-                    )
-                else:
-                    result = scenario.run_attack(
-                        protected.module, interpreter=interpreter
-                    )
-                runs[interpreter] = result
-            context = f"{scenario_name}/{scheme}/{run}"
-            assert_same(runs["reference"], runs["trace"], context)
-            if run == "attack":
-                assert scenario.attack_outcome(
-                    runs["reference"]
-                ) == scenario.attack_outcome(runs["trace"]), context
+
+            def execute(interpreter, profiler=None):
+                attack = scenario.make_attack() if run == "attack" else None
+                return run_with(
+                    protected.module,
+                    interpreter,
+                    scenario.benign_inputs,
+                    attack=attack,
+                    profiler=profiler,
+                )
+
+            reference = execute("reference")
+            decoded = execute("decoded")
+            for mode, make in TRACE_MODES.items():
+                trace = execute("trace", make())
+                context = f"{scenario_name}/{scheme}/{run} ({mode})"
+                assert_same(reference, trace, context)
+                assert_same(decoded, trace, f"{context} (vs decoded)")
+                if run == "attack":
+                    assert scenario.attack_outcome(
+                        reference
+                    ) == scenario.attack_outcome(trace), context
 
 
 # -- step-limit delegation -----------------------------------------------------------
@@ -146,9 +169,12 @@ def test_step_limit_trips_at_the_same_op(max_steps):
     inputs = list(program.inputs)
     protected = protect(module, scheme="pythia")
     reference = run_with(protected.module, "reference", inputs, max_steps=max_steps)
-    trace = run_with(protected.module, "trace", inputs, max_steps=max_steps)
+    decoded = run_with(protected.module, "decoded", inputs, max_steps=max_steps)
     assert isinstance(reference.trap, StepLimitExceeded)
-    assert_same(reference, trace, f"max_steps={max_steps}")
+    traces = trace_runs(protected.module, inputs, max_steps=max_steps)
+    for mode, trace in traces.items():
+        assert_same(reference, trace, f"max_steps={max_steps} ({mode})")
+        assert_same(decoded, trace, f"max_steps={max_steps} ({mode}, vs decoded)")
 
 
 # -- batched accounting bails out when it cannot be trusted --------------------------
@@ -159,11 +185,12 @@ def test_custom_costs_fall_back_to_decoded(listing1_module):
     expected_cpu = CPU(module, seed=2024, interpreter="reference")
     expected_cpu.timing.costs["load"] = 9
     expected = expected_cpu.run()
-    trace_cpu = CPU(module, seed=2024, interpreter="trace")
-    trace_cpu.timing.costs["load"] = 9
-    trace = trace_cpu.run()
-    assert_same(expected, trace, "custom costs")
-    assert trace.cycles == expected.cycles
+    for mode, make in TRACE_MODES.items():
+        trace_cpu = CPU(module, seed=2024, interpreter="trace", profiler=make())
+        trace_cpu.timing.costs["load"] = 9
+        trace = trace_cpu.run()
+        assert_same(expected, trace, f"custom costs ({mode})")
+        assert trace.cycles == expected.cycles
 
 
 def test_non_default_issue_width_falls_back(listing1_module):
@@ -171,10 +198,11 @@ def test_non_default_issue_width_falls_back(listing1_module):
     expected_cpu = CPU(module, seed=2024, interpreter="reference")
     expected_cpu.timing.issue_width = 2
     expected = expected_cpu.run()
-    trace_cpu = CPU(module, seed=2024, interpreter="trace")
-    trace_cpu.timing.issue_width = 2
-    trace = trace_cpu.run()
-    assert_same(expected, trace, "issue width 2")
+    for mode, make in TRACE_MODES.items():
+        trace_cpu = CPU(module, seed=2024, interpreter="trace", profiler=make())
+        trace_cpu.timing.issue_width = 2
+        trace = trace_cpu.run()
+        assert_same(expected, trace, f"issue width 2 ({mode})")
 
 
 # -- compile caching keyed by (fingerprint, profile digest) --------------------------
@@ -202,6 +230,30 @@ def test_new_profile_digest_forces_a_recompile(listing1_module):
     assert cached_seconds == 0.0
 
 
+def test_empty_profile_selects_no_regions(listing1_module):
+    module = listing1_module.clone()
+    static, _ = trace_compile(module)
+    assert static.region_count >= 1  # small functions fuse whole
+    flat, _ = trace_compile(module, {})
+    assert flat.region_count == 0
+    assert flat.fused_blocks == 0
+    assert all(code.blocks == 1 for code in flat.functions.values())
+
+
+def test_profiled_and_unprofiled_programs_cached_side_by_side(listing1_module):
+    """Alternating profiled and unprofiled runs compile once each."""
+    module = listing1_module.clone()
+    seconds = []
+    for profiler in (ExecutionProfiler(), None, ExecutionProfiler(), None):
+        result = CPU(module, seed=2024, interpreter="trace", profiler=profiler).run()
+        seconds.append(result.decode_seconds)
+    assert seconds[0] > 0.0 and seconds[1] > 0.0
+    assert seconds[2:] == [0.0, 0.0]
+    flat, _ = trace_compile(module, {})
+    static, _ = trace_compile(module)
+    assert flat is not static
+
+
 def test_trace_program_fuses_blocks(profile_program):
     """At least one multi-block region exists on a loopy benchmark."""
     module = profile_program.compile()
@@ -214,3 +266,13 @@ def test_trace_program_fuses_blocks(profile_program):
 def test_trace_interpreter_recorded_in_result(listing1_module):
     result = CPU(listing1_module.clone(), interpreter="trace").run()
     assert result.interpreter == "trace"
+
+
+def test_block_is_an_alias_of_trace(listing1_module, monkeypatch):
+    module = listing1_module.clone()
+    expected = CPU(module, seed=2024, interpreter="trace").run()
+    aliased = CPU(module, seed=2024, interpreter="block")
+    assert aliased.interpreter == "trace"
+    assert_same(expected, aliased.run(), "interpreter='block'")
+    monkeypatch.setenv("REPRO_INTERPRETER", "block")
+    assert_same(expected, CPU(module, seed=2024).run(), "REPRO_INTERPRETER=block")

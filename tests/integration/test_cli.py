@@ -400,9 +400,9 @@ class TestProfileCommand:
     def test_prints_hot_spot_tables(self, victim_path, capsys):
         code, out, _ = run_cli(["profile", victim_path, "--input", "x"], capsys)
         assert code == 0
-        assert "run: status=ok interpreter=block" in out
+        assert "run: status=ok interpreter=trace" in out
         assert "hot functions (by self cycles):" in out
-        assert "hot blocks (block tier, by cycles):" in out
+        assert "hot blocks (by cycles):" in out
         assert "opcode histogram (top):" in out
         assert "main" in out
 
@@ -427,6 +427,15 @@ class TestProfileCommand:
         assert "hot functions (by self cycles):" in out
         assert "hot blocks" not in out
 
+    def test_block_interpreter_is_an_alias_of_trace(self, victim_path, capsys):
+        code, out, _ = run_cli(
+            ["profile", victim_path, "--input", "x", "--interpreter", "block"],
+            capsys,
+        )
+        assert code == 0
+        assert "run: status=ok interpreter=trace" in out
+        assert "hot blocks (by cycles):" in out
+
 
 class TestProfileGuidedTrace:
     """The --profile-out -> --profile-in flow that feeds the trace tier."""
@@ -437,9 +446,9 @@ class TestProfileGuidedTrace:
         import json
 
         prof = tmp_path / "prof.json"
-        code, block_out, err = run_cli(
+        code, profiled_out, err = run_cli(
             ["run", victim_path, "--input", "x",
-             "--interpreter", "block", "--profile-out", str(prof)],
+             "--interpreter", "trace", "--profile-out", str(prof)],
             capsys,
         )
         assert code == 0
@@ -454,7 +463,7 @@ class TestProfileGuidedTrace:
             capsys,
         )
         assert code == 0
-        assert trace_out == block_out  # program output is bit-identical
+        assert trace_out == profiled_out  # program output is bit-identical
 
     def test_decoded_tier_profile_carries_no_block_counts(
         self, victim_path, tmp_path, capsys

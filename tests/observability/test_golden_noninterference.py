@@ -40,7 +40,7 @@ GOLDEN_FIELDS = (
     "isolated_allocations",
 )
 
-TIERS = ("reference", "decoded", "block")
+TIERS = ("reference", "decoded", "trace")
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +76,7 @@ def test_traced_run_is_bit_identical_to_untraced(workload, interpreter):
 
 def test_published_counters_mirror_the_result(workload):
     module, inputs = workload
-    result = CPU(module, interpreter="block").run(inputs=list(inputs))
+    result = CPU(module, interpreter="trace").run(inputs=list(inputs))
     registry = MetricsRegistry()
     publish_execution(registry, result, scheme="pythia")
     counters = registry.snapshot()["counters"]

@@ -79,7 +79,7 @@ def protected_module():
 
 
 class TestCPUIntegration:
-    @pytest.mark.parametrize("interpreter", ["reference", "decoded", "block"])
+    @pytest.mark.parametrize("interpreter", ["reference", "decoded", "trace"])
     def test_self_steps_partition_the_run(self, protected_module, interpreter):
         profiler = ExecutionProfiler()
         result = CPU(
@@ -91,8 +91,8 @@ class TestCPUIntegration:
         ) == result.steps
         assert profiler.functions["helper"][0] == 20  # dynamic call count
 
-    def test_block_attribution_only_under_block_tier(self, protected_module):
-        for interpreter, expect_blocks in (("decoded", False), ("block", True)):
+    def test_block_attribution_only_under_trace_tier(self, protected_module):
+        for interpreter, expect_blocks in (("decoded", False), ("trace", True)):
             profiler = ExecutionProfiler()
             CPU(
                 protected_module, interpreter=interpreter, profiler=profiler
@@ -100,10 +100,27 @@ class TestCPUIntegration:
             assert bool(profiler.blocks) == expect_blocks
         assert all(":" in label for label in profiler.blocks)
 
+    def test_profiled_trace_run_attributes_every_block(self, protected_module):
+        # A profiled run compiles region-free: every block that ran has
+        # its own record, not only the header of a fused region.
+        profiler = ExecutionProfiler()
+        CPU(protected_module, interpreter="trace", profiler=profiler).run()
+        executions = {
+            label: record[0] for label, record in profiler.blocks.items()
+        }
+        assert executions == {
+            f"{function.name}:{block.name}": executions.get(
+                f"{function.name}:{block.name}"
+            )
+            for function in protected_module.defined_functions()
+            for block in function.blocks
+        }
+        assert executions["helper:for.body.2"] == 190  # sum(range(20))
+
     def test_block_steps_match_run_total(self, protected_module):
         profiler = ExecutionProfiler()
         result = CPU(
-            protected_module, interpreter="block", profiler=profiler
+            protected_module, interpreter="trace", profiler=profiler
         ).run()
         # Blocks containing calls attribute their subtree (call-inclusive),
         # so the per-block sum can exceed the total but never undershoot.
@@ -114,13 +131,13 @@ class TestCPUIntegration:
     def test_report_totals_come_from_the_result(self, protected_module):
         profiler = ExecutionProfiler()
         result = CPU(
-            protected_module, interpreter="block", profiler=profiler
+            protected_module, interpreter="trace", profiler=profiler
         ).run()
         report = profiler.report(result, top=5)
         assert report["totals"]["steps"] == result.steps
-        assert report["totals"]["interpreter"] == "block"
+        assert report["totals"]["interpreter"] == "trace"
         assert len(report["opcodes"]) <= 5
         lines = format_report(report)
         assert any(line.startswith("run: status=ok") for line in lines)
         assert any("hot functions" in line for line in lines)
-        assert any("hot blocks" in line for line in lines)
+        assert "hot blocks (by cycles):" in lines

@@ -9,12 +9,12 @@ import pytest
 from repro.metrics import measure_program
 from repro.perf import (
     append_entry,
-    block_throughput,
     check_block_regression,
     load_entries,
     plan_jobs,
     run_suite,
     summarize_measurement,
+    trace_throughput,
 )
 from repro.workloads import generate_program, get_profile
 
@@ -162,25 +162,25 @@ def test_suite_without_degrade_records_none(serial_suite):
     assert serial_suite.failure_manifest()["degraded"] is None
 
 
-# -- block-tier regression tracking --------------------------------------------
+# -- trace-tier regression tracking --------------------------------------------
 
 
 def _entry(rate):
     return {
         "schemes": {
-            "vanilla": {"block_steps_per_second": rate},
-            "pythia": {"block_steps_per_second": rate * 4},
+            "vanilla": {"trace_steps_per_second": rate},
+            "pythia": {"trace_steps_per_second": rate * 4},
         }
     }
 
 
-def test_block_throughput_is_the_scheme_geomean():
-    assert block_throughput(_entry(1000.0)) == pytest.approx(2000.0)
+def test_trace_throughput_is_the_scheme_geomean():
+    assert trace_throughput(_entry(1000.0)) == pytest.approx(2000.0)
 
 
-def test_block_throughput_none_without_block_data():
-    assert block_throughput({"schemes": {"vanilla": {"steps_per_second": 5.0}}}) is None
-    assert block_throughput({"label": "other-bench"}) is None
+def test_trace_throughput_none_without_trace_data():
+    assert trace_throughput({"schemes": {"vanilla": {"steps_per_second": 5.0}}}) is None
+    assert trace_throughput({"label": "other-bench"}) is None
 
 
 def test_regression_within_tolerance_passes():
@@ -192,12 +192,12 @@ def test_regression_within_tolerance_passes():
 def test_regression_beyond_tolerance_fails():
     message = check_block_regression([_entry(1000.0)], _entry(800.0))
     assert message is not None
-    assert "block tier regressed" in message
+    assert "trace tier regressed" in message
 
 
-def test_regression_skips_entries_without_block_data():
-    # The comparison reaches past legacy (pre-block) entries to the
-    # last one that actually has block throughput.
+def test_regression_skips_entries_without_trace_data():
+    # The comparison reaches past legacy (pre-trace) entries to the
+    # last one that actually has trace throughput.
     entries = [_entry(1000.0), {"label": "legacy"}]
     assert check_block_regression(entries, _entry(800.0)) is not None
     assert check_block_regression([{"label": "legacy"}], _entry(800.0)) is None

@@ -1,4 +1,4 @@
-"""The trajectory file and the tolerant block-regression gate."""
+"""The trajectory file and the tolerant trace-tier regression gate."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 
 from repro.perf import (
     append_entry,
-    block_throughput,
     check_block_regression,
     check_block_regression_file,
     check_serve_regression,
@@ -21,22 +20,20 @@ from repro.perf import (
 )
 
 
-def entry(rate=1000.0, trace_rate=None):
+def entry(rate=1000.0):
     schemes = {
-        "vanilla": {"block_steps_per_second": rate},
-        "pythia": {"block_steps_per_second": rate * 0.8},
+        "vanilla": {"trace_steps_per_second": rate},
+        "pythia": {"trace_steps_per_second": rate * 0.8},
     }
-    if trace_rate is not None:
-        for name, scheme in schemes.items():
-            scheme["trace_steps_per_second"] = (
-                trace_rate if name == "vanilla" else trace_rate * 0.8
-            )
     return {"label": "interp-throughput", "schemes": schemes}
 
 
 def legacy_entry():
-    """Written before the block tier existed: no block fields at all."""
-    return {"label": "interp-throughput", "schemes": {"vanilla": {"speedup": 3.0}}}
+    """Written before the trace tier existed: block-tier fields only."""
+    return {
+        "label": "interp-throughput",
+        "schemes": {"vanilla": {"speedup": 3.0, "block_steps_per_second": 900.0}},
+    }
 
 
 class TestLoadEntries:
@@ -110,7 +107,7 @@ class TestCheckBlockRegressionFile:
             str(path), entry(500.0), tolerance=0.10
         )
         assert note is None
-        assert "block tier regressed" in failure
+        assert "trace tier regressed" in failure
 
     def test_within_tolerance_passes(self, tmp_path):
         path = tmp_path / "BENCH_interp.json"
@@ -121,59 +118,37 @@ class TestCheckBlockRegressionFile:
         assert failure is None and note is None
 
 
-class TestBlockThroughput:
-    def test_geomean_over_schemes(self):
-        value = block_throughput(entry(1000.0))
-        assert value == pytest.approx((1000.0 * 800.0) ** 0.5)
-
-    def test_none_without_block_fields(self):
-        assert block_throughput(legacy_entry()) is None
-
-    def test_sequence_api_still_skips_quietly(self):
-        # the low-level check keeps its old contract for callers that
-        # already hold entries in memory
-        assert check_block_regression([legacy_entry()], entry()) is None
-
-
 class TestTraceTierGate:
     def test_trace_throughput_geomean(self):
-        value = trace_throughput(entry(1000.0, trace_rate=4000.0))
+        value = trace_throughput(entry(4000.0))
         assert value == pytest.approx((4000.0 * 3200.0) ** 0.5)
 
     def test_none_for_pre_trace_entries(self):
         # entries written before the trace tier existed never gate it
-        assert trace_throughput(entry(1000.0)) is None
         assert trace_throughput(legacy_entry()) is None
+        assert trace_throughput({"label": "other-bench"}) is None
 
     def test_trace_regression_detected(self):
-        baseline = entry(1000.0, trace_rate=4000.0)
         failure = check_block_regression(
-            [baseline], entry(1000.0, trace_rate=2000.0), tolerance=0.10
+            [entry(4000.0)], entry(2000.0), tolerance=0.10
         )
-        assert "trace tier regressed" in failure
-
-    def test_block_and_trace_regressions_join(self):
-        baseline = entry(1000.0, trace_rate=4000.0)
-        failure = check_block_regression(
-            [baseline], entry(500.0, trace_rate=2000.0), tolerance=0.10
-        )
-        assert "block tier regressed" in failure
         assert "trace tier regressed" in failure
 
     def test_pre_trace_baseline_skips_trace_gate_only(self):
         # new entry carries trace data but no prior entry does: the
-        # trace gate skips while the block gate still fires
-        failure = check_block_regression(
-            [entry(1000.0)], entry(500.0, trace_rate=4000.0), tolerance=0.10
+        # trace gate skips quietly, in the sequence API as in the file
+        # API, however far the retired block-tier fields fell
+        assert check_block_regression([legacy_entry()], entry()) is None
+        assert (
+            check_block_regression([legacy_entry()], entry(1.0), tolerance=0.10)
+            is None
         )
-        assert "block tier regressed" in failure
-        assert "trace" not in failure
 
     def test_file_gate_covers_trace(self, tmp_path):
         path = tmp_path / "BENCH_interp.json"
-        append_entry(str(path), entry(1000.0, trace_rate=4000.0))
+        append_entry(str(path), entry(4000.0))
         failure, note = check_block_regression_file(
-            str(path), entry(1000.0, trace_rate=2000.0), tolerance=0.10
+            str(path), entry(2000.0), tolerance=0.10
         )
         assert note is None
         assert "trace tier regressed" in failure

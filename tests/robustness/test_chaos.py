@@ -102,19 +102,6 @@ class TestContractViolationDetection:
 
 
 class TestInterpreterInterop:
-    def test_block_tier_sees_identical_fault_sites(self, smoke_reports):
-        # PR 3's fault hooks fire from Memory/PAC/DfiShadow/cache, which
-        # the block tier's fast paths must route through unchanged: the
-        # same plan under ``--interpreter=block`` must inject at the
-        # same sites and classify every case identically.
-        baseline, _ = smoke_reports
-        block = run_chaos(smoke_plan(2024), seed=2024, interpreter="block")
-        assert block.signature() == baseline.signature()
-        assert block.triage.to_dict() == baseline.triage.to_dict()
-        assert json.dumps(block.to_manifest(), sort_keys=True) == json.dumps(
-            baseline.to_manifest(), sort_keys=True
-        )
-
     def test_trace_tier_sees_identical_fault_sites(self, smoke_reports):
         # The trace tier memoizes PAC auth/sign and probes the PAC cache
         # inline from generated code, so it is the tier most at risk of

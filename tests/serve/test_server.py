@@ -63,14 +63,27 @@ def test_ping_reports_protocol(live):
 
 def test_run_executes_and_reports_architecture(live):
     response = live.request(
-        "run", source=TINY_SOURCE, scheme="pythia", interpreter="block"
+        "run", source=TINY_SOURCE, scheme="pythia", interpreter="trace"
     )
     assert response["status"] == "ok"
     result = response["result"]
     assert result["ok"] and result["status"] == "ok"
     assert result["output"] == "acc=877\n"
     assert result["cycles"] > 0 and result["steps"] > 0
-    assert result["interpreter"] == "block"
+    assert result["interpreter"] == "trace"
+
+
+def test_block_interpreter_is_an_alias_of_trace(live):
+    trace = live.request(
+        "run", source=TINY_SOURCE, scheme="pythia", interpreter="trace"
+    )
+    block = live.request(
+        "run", source=TINY_SOURCE, scheme="pythia", interpreter="block"
+    )
+    assert block["status"] == "ok"
+    assert block["result"]["interpreter"] == "trace"
+    for field in ("output", "cycles", "steps", "return_value"):
+        assert block["result"][field] == trace["result"][field], field
 
 
 def test_warm_compile_is_byte_identical_to_cold(live):
