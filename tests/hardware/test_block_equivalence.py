@@ -1,7 +1,10 @@
-"""Golden equivalence: the block-compiled tier vs the other two tiers.
+"""Golden equivalence: block programs vs the two oracle tiers.
 
-The block tier batches timing/step accounting per basic block and
-inlines handler bodies into generated Python, so every architectural
+A block program is a trace program with no regions: a trace-tier run
+with a profiler attached compiles every basic block as its own unit
+(``trace_compile(module, {})``), so the profiler can attribute cycles
+block by block.  Those per-block units batch timing/step accounting and
+inline handler bodies into generated Python, so every architectural
 observable must stay bit-identical to both the decoded and the
 reference interpreters -- including mid-block traps (whose counter
 state the generated ``except`` clause repairs), step-limit crossings
@@ -15,8 +18,8 @@ import pytest
 from repro.attacks import build_scenarios
 from repro.core import SCHEMES, protect
 from repro.hardware import CPU
-from repro.hardware.blockc import block_compile
 from repro.hardware.errors import StepLimitExceeded
+from repro.observability import ExecutionProfiler
 from repro.workloads import generate_program, get_profile
 
 #: Every architectural observable of an execution.
@@ -39,7 +42,7 @@ PROFILES = ("505.mcf_r", "502.gcc_r", "519.lbm_r", "525.x264_r")
 
 
 def assert_same(expected, block, context):
-    assert block.interpreter == "block", context
+    assert block.interpreter == "trace", context
     for field in COMPARED_FIELDS:
         assert getattr(expected, field) == getattr(block, field), (
             f"{context}: {field} diverged "
@@ -58,6 +61,11 @@ def run_with(module, interpreter, inputs=(), **kwargs):
     return cpu.run(inputs=list(inputs))
 
 
+def run_blocks(module, inputs=(), **kwargs):
+    """A profiled trace-tier run: region-free, one unit per block."""
+    return run_with(module, "trace", inputs, profiler=ExecutionProfiler(), **kwargs)
+
+
 # -- benign benchmark sweep ----------------------------------------------------------
 
 
@@ -74,7 +82,7 @@ def test_profile_equivalence_all_schemes(profile_program):
         context = f"{profile_program.profile.name}/{scheme}"
         reference = run_with(protected.module, "reference", inputs)
         decoded = run_with(protected.module, "decoded", inputs)
-        block = run_with(protected.module, "block", inputs)
+        block = run_blocks(protected.module, inputs)
         assert block.ok, context
         assert_same(reference, block, f"{context} (vs reference)")
         assert_same(decoded, block, f"{context} (vs decoded)")
@@ -90,23 +98,27 @@ def test_scenario_equivalence_all_schemes(scenario_name):
     for scheme in SCHEMES:
         protected = protect(module, scheme=scheme)
         for run in ("benign", "attack"):
-            runs = {}
-            for interpreter in ("reference", "block"):
-                if run == "benign":
-                    result = scenario.run_benign(
-                        protected.module, interpreter=interpreter
-                    )
-                else:
-                    result = scenario.run_attack(
-                        protected.module, interpreter=interpreter
-                    )
-                runs[interpreter] = result
+
+            def execute(interpreter, profiler=None):
+                attack = scenario.make_attack() if run == "attack" else None
+                return run_with(
+                    protected.module,
+                    interpreter,
+                    scenario.benign_inputs,
+                    attack=attack,
+                    profiler=profiler,
+                )
+
+            reference = execute("reference")
+            decoded = execute("decoded")
+            block = execute("trace", ExecutionProfiler())
             context = f"{scenario_name}/{scheme}/{run}"
-            assert_same(runs["reference"], runs["block"], context)
+            assert_same(reference, block, context)
+            assert_same(decoded, block, f"{context} (vs decoded)")
             if run == "attack":
                 assert scenario.attack_outcome(
-                    runs["reference"]
-                ) == scenario.attack_outcome(runs["block"]), context
+                    reference
+                ) == scenario.attack_outcome(block), context
 
 
 # -- step-limit delegation -----------------------------------------------------------
@@ -119,9 +131,11 @@ def test_step_limit_trips_at_the_same_op(max_steps):
     inputs = list(program.inputs)
     protected = protect(module, scheme="pythia")
     reference = run_with(protected.module, "reference", inputs, max_steps=max_steps)
-    block = run_with(protected.module, "block", inputs, max_steps=max_steps)
+    decoded = run_with(protected.module, "decoded", inputs, max_steps=max_steps)
+    block = run_blocks(protected.module, inputs, max_steps=max_steps)
     assert isinstance(reference.trap, StepLimitExceeded)
     assert_same(reference, block, f"max_steps={max_steps}")
+    assert_same(decoded, block, f"max_steps={max_steps} (vs decoded)")
 
 
 # -- batched accounting bails out when it cannot be trusted --------------------------
@@ -132,7 +146,9 @@ def test_custom_costs_fall_back_to_decoded(listing1_module):
     expected_cpu = CPU(module, seed=2024, interpreter="reference")
     expected_cpu.timing.costs["load"] = 9
     expected = expected_cpu.run()
-    block_cpu = CPU(module, seed=2024, interpreter="block")
+    block_cpu = CPU(
+        module, seed=2024, interpreter="trace", profiler=ExecutionProfiler()
+    )
     block_cpu.timing.costs["load"] = 9
     block = block_cpu.run()
     assert_same(expected, block, "custom costs")
@@ -144,24 +160,9 @@ def test_non_default_issue_width_falls_back(listing1_module):
     expected_cpu = CPU(module, seed=2024, interpreter="reference")
     expected_cpu.timing.issue_width = 2
     expected = expected_cpu.run()
-    block_cpu = CPU(module, seed=2024, interpreter="block")
+    block_cpu = CPU(
+        module, seed=2024, interpreter="trace", profiler=ExecutionProfiler()
+    )
     block_cpu.timing.issue_width = 2
     block = block_cpu.run()
     assert_same(expected, block, "issue width 2")
-
-
-# -- compile caching -----------------------------------------------------------------
-
-
-def test_block_compile_is_cached_on_the_module(listing1_module):
-    module = listing1_module.clone()
-    program, first_seconds = block_compile(module)
-    again, second_seconds = block_compile(module)
-    assert again is program
-    assert second_seconds == 0.0
-    assert first_seconds >= 0.0
-
-
-def test_block_interpreter_recorded_in_result(listing1_module):
-    result = CPU(listing1_module.clone(), interpreter="block").run()
-    assert result.interpreter == "block"

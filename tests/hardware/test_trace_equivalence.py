@@ -5,11 +5,10 @@ functions (inlined handlers, loop-local registers, hoisted DFI batch
 checks, memoized PAC auth), so every architectural observable must stay
 bit-identical to the decoded oracle and the reference interpreter --
 including mid-region traps (side-exit reconciliation), step-limit
-crossings, and attack scenarios.  Three region-selection modes are
-covered: static (no profile), profile-guided (warmup counts from
-``ExecutionProfiler``), and profiled, region-free (a run with a
-profiler attached compiles every block as its own unit, so mid-block
-traps and step-limit delegation go through the per-block code).
+crossings, and attack scenarios.  Both region-selection modes are
+covered: static (no profile) and profile-guided (warmup counts from
+``ExecutionProfiler``).  The region-free mode a profiled run compiles
+(one unit per basic block) is covered by ``test_block_equivalence``.
 """
 
 from __future__ import annotations
@@ -61,22 +60,6 @@ def run_with(module, interpreter, inputs=(), **kwargs):
     return cpu.run(inputs=list(inputs))
 
 
-#: The unprofiled trace tier (static regions) and the profiled one
-#: (region-free): both must match the oracles bit for bit.
-TRACE_MODES = {
-    "static": lambda: None,
-    "profiled, region-free": ExecutionProfiler,
-}
-
-
-def trace_runs(module, inputs=(), **kwargs):
-    """One trace-tier result per mode in :data:`TRACE_MODES`."""
-    return {
-        mode: run_with(module, "trace", inputs, profiler=make(), **kwargs)
-        for mode, make in TRACE_MODES.items()
-    }
-
-
 def warmup_counts(module, inputs):
     """Per-block execution counts from a profiled trace-tier run."""
     profiler = ExecutionProfiler()
@@ -95,18 +78,18 @@ def profile_program(request):
 
 
 def test_profile_equivalence_all_schemes(profile_program):
-    """Static and region-free: every scheme, trace vs decoded vs reference."""
+    """Static region selection: every scheme, trace vs decoded vs reference."""
     module = profile_program.compile()
     inputs = list(profile_program.inputs)
     for scheme in SCHEMES:
         protected = protect(module, scheme=scheme)
+        context = f"{profile_program.profile.name}/{scheme}"
         reference = run_with(protected.module, "reference", inputs)
         decoded = run_with(protected.module, "decoded", inputs)
-        for mode, trace in trace_runs(protected.module, inputs).items():
-            context = f"{profile_program.profile.name}/{scheme} ({mode})"
-            assert trace.ok, context
-            assert_same(reference, trace, f"{context} (vs reference)")
-            assert_same(decoded, trace, f"{context} (vs decoded)")
+        trace = run_with(protected.module, "trace", inputs)
+        assert trace.ok, context
+        assert_same(reference, trace, f"{context} (vs reference)")
+        assert_same(decoded, trace, f"{context} (vs decoded)")
 
 
 def test_profile_guided_equivalence_all_schemes(profile_program):
@@ -135,28 +118,23 @@ def test_scenario_equivalence_all_schemes(scenario_name):
     for scheme in SCHEMES:
         protected = protect(module, scheme=scheme)
         for run in ("benign", "attack"):
-
-            def execute(interpreter, profiler=None):
-                attack = scenario.make_attack() if run == "attack" else None
-                return run_with(
-                    protected.module,
-                    interpreter,
-                    scenario.benign_inputs,
-                    attack=attack,
-                    profiler=profiler,
-                )
-
-            reference = execute("reference")
-            decoded = execute("decoded")
-            for mode, make in TRACE_MODES.items():
-                trace = execute("trace", make())
-                context = f"{scenario_name}/{scheme}/{run} ({mode})"
-                assert_same(reference, trace, context)
-                assert_same(decoded, trace, f"{context} (vs decoded)")
-                if run == "attack":
-                    assert scenario.attack_outcome(
-                        reference
-                    ) == scenario.attack_outcome(trace), context
+            runs = {}
+            for interpreter in ("reference", "trace"):
+                if run == "benign":
+                    result = scenario.run_benign(
+                        protected.module, interpreter=interpreter
+                    )
+                else:
+                    result = scenario.run_attack(
+                        protected.module, interpreter=interpreter
+                    )
+                runs[interpreter] = result
+            context = f"{scenario_name}/{scheme}/{run}"
+            assert_same(runs["reference"], runs["trace"], context)
+            if run == "attack":
+                assert scenario.attack_outcome(
+                    runs["reference"]
+                ) == scenario.attack_outcome(runs["trace"]), context
 
 
 # -- step-limit delegation -----------------------------------------------------------
@@ -169,12 +147,9 @@ def test_step_limit_trips_at_the_same_op(max_steps):
     inputs = list(program.inputs)
     protected = protect(module, scheme="pythia")
     reference = run_with(protected.module, "reference", inputs, max_steps=max_steps)
-    decoded = run_with(protected.module, "decoded", inputs, max_steps=max_steps)
+    trace = run_with(protected.module, "trace", inputs, max_steps=max_steps)
     assert isinstance(reference.trap, StepLimitExceeded)
-    traces = trace_runs(protected.module, inputs, max_steps=max_steps)
-    for mode, trace in traces.items():
-        assert_same(reference, trace, f"max_steps={max_steps} ({mode})")
-        assert_same(decoded, trace, f"max_steps={max_steps} ({mode}, vs decoded)")
+    assert_same(reference, trace, f"max_steps={max_steps}")
 
 
 # -- batched accounting bails out when it cannot be trusted --------------------------
@@ -185,12 +160,11 @@ def test_custom_costs_fall_back_to_decoded(listing1_module):
     expected_cpu = CPU(module, seed=2024, interpreter="reference")
     expected_cpu.timing.costs["load"] = 9
     expected = expected_cpu.run()
-    for mode, make in TRACE_MODES.items():
-        trace_cpu = CPU(module, seed=2024, interpreter="trace", profiler=make())
-        trace_cpu.timing.costs["load"] = 9
-        trace = trace_cpu.run()
-        assert_same(expected, trace, f"custom costs ({mode})")
-        assert trace.cycles == expected.cycles
+    trace_cpu = CPU(module, seed=2024, interpreter="trace")
+    trace_cpu.timing.costs["load"] = 9
+    trace = trace_cpu.run()
+    assert_same(expected, trace, "custom costs")
+    assert trace.cycles == expected.cycles
 
 
 def test_non_default_issue_width_falls_back(listing1_module):
@@ -198,11 +172,10 @@ def test_non_default_issue_width_falls_back(listing1_module):
     expected_cpu = CPU(module, seed=2024, interpreter="reference")
     expected_cpu.timing.issue_width = 2
     expected = expected_cpu.run()
-    for mode, make in TRACE_MODES.items():
-        trace_cpu = CPU(module, seed=2024, interpreter="trace", profiler=make())
-        trace_cpu.timing.issue_width = 2
-        trace = trace_cpu.run()
-        assert_same(expected, trace, f"issue width 2 ({mode})")
+    trace_cpu = CPU(module, seed=2024, interpreter="trace")
+    trace_cpu.timing.issue_width = 2
+    trace = trace_cpu.run()
+    assert_same(expected, trace, "issue width 2")
 
 
 # -- compile caching keyed by (fingerprint, profile digest) --------------------------

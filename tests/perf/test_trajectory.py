@@ -118,6 +118,37 @@ class TestCheckBlockRegressionFile:
         assert failure is None and note is None
 
 
+class TestBlockThroughput:
+    """Trajectory entries from when the block tier was benchmarked.
+
+    Those entries carry ``block_steps_per_second``; the block tier is
+    gone, so the gate must read those fields as nothing at all.
+    """
+
+    def test_geomean_over_schemes(self):
+        # block fields next to trace fields never leak into the geomean
+        mixed = entry(4000.0)
+        for scheme in mixed["schemes"].values():
+            scheme["block_steps_per_second"] = 1.0
+        value = trace_throughput(mixed)
+        assert value == pytest.approx((4000.0 * 3200.0) ** 0.5)
+
+    def test_none_without_block_fields(self):
+        # a new entry without block fields gates against a baseline
+        # that still has them: passes in tolerance, fails out of it
+        baseline = entry(4000.0)
+        baseline["schemes"]["vanilla"]["block_steps_per_second"] = 1000.0
+        assert check_block_regression([baseline], entry(4000.0)) is None
+        failure = check_block_regression([baseline], entry(2000.0), tolerance=0.10)
+        assert "trace tier regressed" in failure
+        assert "block" not in failure
+
+    def test_sequence_api_still_skips_quietly(self):
+        # the low-level check keeps its old contract for callers that
+        # already hold entries in memory
+        assert check_block_regression([legacy_entry()], entry()) is None
+
+
 class TestTraceTierGate:
     def test_trace_throughput_geomean(self):
         value = trace_throughput(entry(4000.0))
