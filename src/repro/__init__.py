@@ -21,50 +21,7 @@ See ``examples/`` for runnable end-to-end walkthroughs and
 the paper's evaluation.
 """
 
-from .attacks import (
-    AttackController,
-    build_scenarios,
-    overflow_payload,
-    Scenario,
-)
-from .core import (
-    DefenseConfig,
-    ProtectionResult,
-    SCHEMES,
-    SecurityReport,
-    VulnerabilityAnalysis,
-    VulnerabilityReport,
-    analyze_module,
-    build_security_report,
-    clone_module,
-    protect,
-    protect_all,
-)
-from .frontend import compile_source
-from .hardware import (
-    CPU,
-    CanaryTrap,
-    DfiTrap,
-    ExecutionResult,
-    MemoryFault,
-    PacAuthError,
-    PointerAuthentication,
-)
-from .ir import IRBuilder, Module, parse_module, print_module, verify_module
-from .metrics import (
-    attack_distance_row,
-    branch_security_row,
-    measure_module,
-    measure_program,
-)
-from .perf import SuiteResult, run_suite
-from .workloads import (
-    ALL_PROFILES,
-    BenchmarkProfile,
-    generate_program,
-    get_profile,
-    run_nginx,
-)
+import importlib
 
 __version__ = "1.0.0"
 
@@ -110,3 +67,76 @@ __all__ = [
     "VulnerabilityReport",
     "__version__",
 ]
+
+
+def _lazy_exports(package, namespace, table):
+    """The module-level ``(__getattr__, __dir__)`` pair of a package.
+
+    PEP 562 lazy re-exports, shared by every package ``__init__`` that
+    defers loading: ``table`` maps each exported name to the submodule
+    (relative to ``package``) that defines it.  The first access imports
+    that submodule and caches the value in ``namespace``, so later
+    accesses never reach ``__getattr__``; ``from package import name``
+    and ``from package import *`` take the same path.  It lives here, not
+    in a submodule, so ``import repro`` loads no submodule at all.
+    """
+
+    def __getattr__(name):
+        submodule = table.get(name)
+        if submodule is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f".{submodule}", package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(table))
+
+    return __getattr__, __dir__
+
+
+# Every export loads on first use, so ``import repro`` costs about a bare
+# interpreter start and a CLI subcommand pays only for the layers it runs.
+_LAZY = {
+    "ALL_PROFILES": "workloads",
+    "analyze_module": "core",
+    "attack_distance_row": "metrics",
+    "AttackController": "attacks",
+    "BenchmarkProfile": "workloads",
+    "branch_security_row": "metrics",
+    "build_scenarios": "attacks",
+    "build_security_report": "core",
+    "CanaryTrap": "hardware",
+    "clone_module": "core",
+    "compile_source": "frontend",
+    "CPU": "hardware",
+    "DefenseConfig": "core",
+    "DfiTrap": "hardware",
+    "ExecutionResult": "hardware",
+    "generate_program": "workloads",
+    "get_profile": "workloads",
+    "IRBuilder": "ir",
+    "measure_module": "metrics",
+    "measure_program": "metrics",
+    "MemoryFault": "hardware",
+    "Module": "ir",
+    "overflow_payload": "attacks",
+    "PacAuthError": "hardware",
+    "parse_module": "ir",
+    "PointerAuthentication": "hardware",
+    "print_module": "ir",
+    "protect": "core",
+    "protect_all": "core",
+    "ProtectionResult": "core",
+    "run_nginx": "workloads",
+    "run_suite": "perf",
+    "Scenario": "attacks",
+    "SCHEMES": "core",
+    "SecurityReport": "core",
+    "SuiteResult": "perf",
+    "verify_module": "ir",
+    "VulnerabilityAnalysis": "core",
+    "VulnerabilityReport": "core",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), _LAZY)

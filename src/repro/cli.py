@@ -43,7 +43,6 @@ import os
 import sys
 from typing import List, Optional
 
-from .attacks import build_scenarios
 from .core import (
     DefenseConfig,
     SCHEMES,
@@ -52,33 +51,31 @@ from .core import (
     protect,
 )
 from .frontend import CodegenError, CParseError, LexError, SemaError, compile_source
-from .hardware import CPU, INTERPRETER_ALIASES, INTERPRETERS
+from .hardware.cpu import CPU, INTERPRETER_ALIASES, INTERPRETERS
 from .hardware.errors import ReproError
 from .ir import print_module
 from .ir.verifier import VerificationError
 from .observability import (
-    PROFILE_SCHEMA,
-    ExecutionProfiler,
-    audit_events,
     current_tracer,
     disable_tracing,
     enable_tracing,
-    format_report,
     get_event_log,
     get_metrics,
-    hot_block_counts,
     publish_execution,
     read_events,
-    render_audit,
-    render_dashboard,
     reset_event_log,
     reset_metrics,
     write_events,
     write_metrics,
     write_trace,
 )
+from .observability.events import source_digest
 from .transforms import Mem2Reg
-from .workloads import generate_program, get_profile, profile_names
+from .workloads.profiles import get_profile, profile_names
+
+# Everything else a subcommand needs is imported inside its ``cmd_*``
+# function, so a cold ``python -m repro <cmd>`` loads only the layers
+# that command runs (see DESIGN.md, "Cold start").
 
 #: Exit code per failure layer.  :class:`~repro.hardware.errors.ReproError`
 #: subclasses carry their own ``exit_code`` and take precedence.
@@ -109,6 +106,8 @@ def _parse_inputs(items: Optional[List[str]]) -> List[bytes]:
 def _load_trace_profile(path: str) -> dict:
     """Read a ``--profile-out`` report back as trace-tier block counts."""
     import json
+
+    from .observability.profile import PROFILE_SCHEMA, hot_block_counts
 
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -167,7 +166,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     trace_profile = (
         _load_trace_profile(args.profile_in) if args.profile_in else None
     )
-    profiler = ExecutionProfiler() if args.profile_out else None
+    profiler = None
+    if args.profile_out:
+        from .observability.profile import ExecutionProfiler
+
+        profiler = ExecutionProfiler()
     cpu = CPU(
         protected.module,
         seed=args.seed,
@@ -179,8 +182,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         result = cpu.run(inputs=_parse_inputs(args.input))
     publish_execution(get_metrics(), result, scheme=args.scheme)
     if result.detected:
-        from .serve.registry import source_digest
-
         get_event_log().emit(
             "trap",
             module_digest=source_digest(source),
@@ -229,6 +230,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
+    from .attacks.scenarios import build_scenarios
+
     scenarios = build_scenarios()
     if args.scenario not in scenarios:
         print(f"unknown scenario {args.scenario!r}; try: {', '.join(scenarios)}")
@@ -247,6 +250,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .workloads.generator import generate_program
+
     program = generate_program(get_profile(args.benchmark))
     module = program.compile()
     trace_profile = (
@@ -391,6 +396,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
+    from .attacks.scenarios import build_scenarios
     from .robustness.campaign import (
         run_campaign,
         write_manifest,
@@ -466,6 +472,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    from .observability.profile import ExecutionProfiler, format_report
+
     module = compile_source(_read_source(args.source), name=args.name)
     protected = protect(module, scheme=args.scheme)
     profiler = ExecutionProfiler()
@@ -619,6 +627,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 def cmd_top(args: argparse.Namespace) -> int:
     import time as time_module
 
+    from .observability.aggregate import render_dashboard
     from .serve.client import ServeClient
 
     frames = 0
@@ -652,6 +661,8 @@ def cmd_top(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    from .observability.audit import audit_events, render_audit
+
     try:
         events = read_events(args.events)
     except ValueError as exc:
@@ -669,6 +680,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_scenarios(args: argparse.Namespace) -> int:
+    from .attacks.scenarios import build_scenarios
     from .robustness.campaign import FAMILY_FAULTS, NEW_FAMILIES
 
     for name, scenario in build_scenarios().items():

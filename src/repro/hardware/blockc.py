@@ -93,12 +93,6 @@ _MASK64 = (1 << 64) - 1
 #: still uses this width and DEFAULT_COSTS.
 BLOCK_ISSUE_WIDTH = 4
 
-#: Sentinel: generated functions return ``(BLOCK_RET, value)`` from
-#: ``ret`` terminators and the successor's ``(BlockCode, None)``
-#: ``self_pair`` otherwise (phi routing runs inline in the terminator
-#: before the pair is returned).
-BLOCK_RET = object()
-
 
 class BlockCode:
     """One compiled code unit: a basic block, or a region of ``blocks``.

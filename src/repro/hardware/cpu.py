@@ -74,9 +74,9 @@ from ..ir.module import Module
 from ..ir.types import ArrayType, I64, IntType, PointerType, StructType
 from ..ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
 from .allocator import OutOfMemoryError, SectionedHeap
-from .blockc import BLOCK_RET
 from .cache import CacheModel
 from .decoder import (
+    BLOCK_RET,
     DecodedBlock,
     _DECODED_MODULES,
     _fingerprint as _module_fingerprint,
@@ -95,7 +95,6 @@ from .errors import (
     UnknownExternalError,
     UnknownInterpreterError,
 )
-from .tracec import trace_compile
 from .libc import LIBRARY
 from .memory import GLOBAL_BASE, Memory, MemoryFault, STACK_BASE
 from .pac import PacAuthError, PointerAuthentication
@@ -396,6 +395,9 @@ class CPU:
         if interpreter == "decoded":
             self._decoded, self.decode_seconds = decode_module(module)
         elif interpreter == "trace":
+            # Imported here so decoded runs never load the code generators.
+            from .tracec import trace_compile
+
             # The trace tier compiles from the decoded program and falls
             # back to it whenever batched accounting cannot be trusted
             # (non-default costs or issue width, step-limit crossings).

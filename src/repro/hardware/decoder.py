@@ -109,6 +109,14 @@ def _spec(value: Value, layout: Dict[str, int]) -> OperandSpec:
 # Decoded containers
 # ---------------------------------------------------------------------------
 
+#: Sentinel for the compiled tiers (:mod:`.blockc`, :mod:`.tracec`):
+#: generated functions return ``(BLOCK_RET, value)`` from ``ret``
+#: terminators and the successor's ``(BlockCode, None)`` ``self_pair``
+#: otherwise (phi routing runs inline in the terminator before the pair
+#: is returned).  It lives here so the CPU's block drivers can test for
+#: it without loading the code generators.
+BLOCK_RET = object()
+
 
 class DecodedBlock:
     """One basic block compiled to handler closures plus a terminator."""

@@ -83,7 +83,6 @@ from ..ir.module import Module
 from ..ir.values import Argument
 from .blockc import (
     BLOCK_ISSUE_WIDTH,
-    BLOCK_RET,
     BlockCode,
     _BlockMeta,
     _FnGen,
@@ -97,6 +96,7 @@ from .blockc import (
     _trap_fixup,
 )
 from .decoder import (
+    BLOCK_RET,
     DecodedBlock,
     _DECODED_MODULES,
     _fingerprint,

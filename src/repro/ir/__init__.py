@@ -5,6 +5,7 @@ front-end emits it, the analyses traverse it, the defense passes rewrite
 it, and the simulated CPU executes it.
 """
 
+from .. import _lazy_exports
 from .builder import IRBuilder
 from .cfg import DominatorTree, reachable_blocks, reverse_postorder
 from .clone import ValueMap, clone_module, clone_module_with_map
@@ -35,7 +36,6 @@ from .instructions import (
     is_pa_instruction,
 )
 from .module import Module
-from .parser import ParseError, parse_module
 from .printer import print_function, print_module
 from .types import (
     ArrayType,
@@ -123,3 +123,12 @@ __all__ = [
     "array",
     "int_type",
 ]
+
+# The textual IR parser loads on first use (PEP 562): compiling from
+# MiniC, protecting and executing never read IR text.
+_LAZY = {
+    "ParseError": "parser",
+    "parse_module": "parser",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), _LAZY)

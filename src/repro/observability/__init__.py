@@ -35,14 +35,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional
 
-from .aggregate import (
-    QuantileSketch,
-    WindowAggregator,
-    bucket_index,
-    percentile_from_buckets,
-    render_dashboard,
-)
-from .audit import audit_events, render_audit
+from .. import _lazy_exports
 from .events import (
     EVENT_TYPES,
     EVENTS_SCHEMA,
@@ -55,23 +48,12 @@ from .events import (
 from .metrics import (
     METRICS_SCHEMA,
     MetricsRegistry,
+    bucket_index,
     histogram_percentiles,
+    percentile_from_buckets,
     publish_execution,
     validate_snapshot,
     write_metrics,
-)
-from .slo import (
-    SloBreach,
-    SloPolicy,
-    count_traps,
-    evaluate_report,
-    evaluate_window,
-)
-from .profile import (
-    PROFILE_SCHEMA,
-    ExecutionProfiler,
-    format_report,
-    hot_block_counts,
 )
 from .trace import (
     NULL_TRACER,
@@ -130,6 +112,29 @@ __all__ = [
     "write_metrics",
     "write_trace",
 ]
+
+# The offline and daemon-side helpers load on first use (PEP 562): a CLI
+# run never pays for the dashboard, SLO, audit or profiler code.
+# ``trace``, ``metrics`` and ``events`` stay eager because the globals
+# below are built from them.
+_LAZY = {
+    "QuantileSketch": "aggregate",
+    "WindowAggregator": "aggregate",
+    "render_dashboard": "aggregate",
+    "audit_events": "audit",
+    "render_audit": "audit",
+    "SloBreach": "slo",
+    "SloPolicy": "slo",
+    "count_traps": "slo",
+    "evaluate_report": "slo",
+    "evaluate_window": "slo",
+    "PROFILE_SCHEMA": "profile",
+    "ExecutionProfiler": "profile",
+    "format_report": "profile",
+    "hot_block_counts": "profile",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), _LAZY)
 
 _tracer: "Tracer | NullTracer" = NULL_TRACER
 _metrics = MetricsRegistry()

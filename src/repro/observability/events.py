@@ -38,6 +38,7 @@ Stdlib-only on purpose, like the rest of the observability layer.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
@@ -66,6 +67,15 @@ _REQUIRED_FIELDS = ("schema", "type", "ts_wall", "ts_mono_ns", "pid")
 
 #: Optional correlation fields; null when unknown.
 _CORRELATION_FIELDS = ("request_id", "rid", "module_digest", "scheme", "tier")
+
+
+def source_digest(source: str) -> str:
+    """Content address of one source text (hex SHA-256).
+
+    This is the ``module_digest`` a trap record carries, so the CLI and
+    the serve daemon stamp the same value for the same program.
+    """
+    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 def make_event(

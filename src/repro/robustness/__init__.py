@@ -20,6 +20,7 @@ attacks/compile pipeline.
 
 from __future__ import annotations
 
+from .. import _lazy_exports
 from .faults import (
     FAULT_KINDS,
     FaultEvent,
@@ -78,14 +79,4 @@ _LAZY = {
     "reduce_source": "reduce",
 }
 
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), _LAZY)

@@ -12,6 +12,7 @@ compilation.  :mod:`repro.serve.client` and :mod:`repro.serve.loadgen`
 drive it; ``benchmarks/bench_serve_latency.py`` measures it.
 """
 
+from ..observability.events import source_digest
 from .client import ServeClient, ServeClientError, wait_for_server
 from .loadgen import LoadReport, RequestRecord, percentile, run_load
 from .pool import WorkerPool
@@ -24,7 +25,7 @@ from .protocol import (
     shard_digest,
     validate_request,
 )
-from .registry import RegistryStats, WarmRegistry, source_digest
+from .registry import RegistryStats, WarmRegistry
 from .server import ReproServer, ServeSocketError
 
 __all__ = [

@@ -47,13 +47,13 @@ from ..ir.module import Module
 from ..ir.parser import parse_module
 from ..ir.printer import print_module
 from ..observability import get_metrics, phase_span
+from ..observability.events import source_digest
+# Imported at module level, not in ``__init__``: the daemon loads it
+# before forking, so workers inherit it instead of each compiling the
+# perf package on start.
+from ..perf.cache import CompilationCache
 from ..transforms.mem2reg import Mem2Reg
 from ..ir.verifier import verify_module
-
-
-def source_digest(source: str) -> str:
-    """Content address of one source text (hex SHA-256)."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -99,8 +99,6 @@ class WarmRegistry:
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._disk = None
         if cache_dir is not None:
-            from ..perf.cache import CompilationCache
-
             self._disk = CompilationCache(cache_dir)
 
     def __len__(self) -> int:

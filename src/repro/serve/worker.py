@@ -28,7 +28,11 @@ from __future__ import annotations
 import signal
 from typing import Any, Dict, Optional, Tuple
 
-from ..attacks import build_scenarios
+# ``tracec`` and ``scenarios`` load here, not on first use: forked
+# workers inherit them, so no shard pays an import on its first
+# ``profile`` (trace tier) or ``attack`` request.
+from ..attacks.scenarios import build_scenarios
+from ..hardware import tracec  # noqa: F401 - preloaded for the trace tier
 from ..hardware.cpu import CPU
 from ..observability import (
     EventLog,
@@ -42,8 +46,9 @@ from ..observability import (
     install_tracer,
     publish_execution,
 )
+from ..observability.events import source_digest
 from .protocol import classify_exception, error_response, ok_response
-from .registry import WarmRegistry, source_digest
+from .registry import WarmRegistry
 
 
 def _parse_inputs(request: Dict[str, Any]) -> list:

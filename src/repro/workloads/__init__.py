@@ -5,22 +5,7 @@ plus nginx, the deterministic MiniC program generator realising them,
 and the nginx-style transfer-rate workload.
 """
 
-from .generator import GeneratedProgram, ProgramGenerator, generate_program
-from .nginx import (
-    DURATION_BATCHES,
-    NginxRun,
-    nginx_program,
-    run_nginx,
-    transfer_rate_overhead,
-)
-from .profiles import (
-    ALL_PROFILES,
-    BenchmarkProfile,
-    NGINX_PROFILE,
-    SPEC_PROFILES,
-    get_profile,
-    profile_names,
-)
+from .. import _lazy_exports
 
 __all__ = [
     "ALL_PROFILES",
@@ -38,3 +23,24 @@ __all__ = [
     "SPEC_PROFILES",
     "transfer_rate_overhead",
 ]
+
+# Every export loads on first use (PEP 562): listing profile names never
+# loads the program generator or the nginx workload.
+_LAZY = {
+    "GeneratedProgram": "generator",
+    "ProgramGenerator": "generator",
+    "generate_program": "generator",
+    "DURATION_BATCHES": "nginx",
+    "NginxRun": "nginx",
+    "nginx_program": "nginx",
+    "run_nginx": "nginx",
+    "transfer_rate_overhead": "nginx",
+    "ALL_PROFILES": "profiles",
+    "BenchmarkProfile": "profiles",
+    "NGINX_PROFILE": "profiles",
+    "SPEC_PROFILES": "profiles",
+    "get_profile": "profiles",
+    "profile_names": "profiles",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), _LAZY)

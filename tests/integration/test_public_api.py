@@ -1,14 +1,37 @@
 """The public API surface: everything the README promises."""
 
+import importlib
+
 import pytest
 
 import repro
+
+#: Packages whose ``__init__`` re-exports some or all names lazily.
+LAZY_PACKAGES = (
+    "repro",
+    "repro.hardware",
+    "repro.attacks",
+    "repro.workloads",
+    "repro.observability",
+    "repro.robustness",
+    "repro.ir",
+)
 
 
 class TestPublicSurface:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    @pytest.mark.parametrize("package_name", LAZY_PACKAGES)
+    def test_lazy_package_exports_resolve(self, package_name):
+        package = importlib.import_module(package_name)
+        listed = dir(package)
+        for name in package.__all__:
+            getattr(package, name)  # AttributeError when it cannot resolve
+            assert name in listed, name
+        stale = set(package._LAZY) - set(package.__all__)
+        assert not stale, f"_LAZY entries missing from __all__: {sorted(stale)}"
 
     def test_version(self):
         assert repro.__version__
