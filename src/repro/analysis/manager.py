@@ -10,7 +10,7 @@ Freshness discipline (mirrors the pre-decoded program cache in
 :mod:`repro.hardware.decoder`):
 
 - transforms call :func:`invalidate_analyses` after mutating a module
-  (``PassManager.run`` and the mem2reg hook in ``protect()`` do this
+  (``PassManager.run`` and the mem2reg hook in ``prepare()`` do this
   alongside their existing decode-cache invalidation);
 - as a second line of defense, every entry stores a cheap structural
   fingerprint of the module and is discarded when the live module no

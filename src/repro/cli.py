@@ -49,9 +49,10 @@ from .core import (
     analyze_module,
     build_security_report,
     protect,
+    protect_all,
 )
 from .frontend import CodegenError, CParseError, LexError, SemaError, compile_source
-from .hardware.cpu import CPU, INTERPRETER_ALIASES, INTERPRETERS
+from .hardware.cpu import CPU, INTERPRETERS
 from .hardware.errors import ReproError
 from .ir import print_module
 from .ir.verifier import VerificationError
@@ -87,9 +88,6 @@ EXIT_CODES = {
 
 #: MiniC front-end failures: invalid *input*, not framework bugs.
 _FRONTEND_ERRORS = (LexError, CParseError, SemaError, CodegenError)
-
-#: ``--interpreter`` values: every backend plus the retired aliases.
-_INTERPRETER_CHOICES = INTERPRETERS + tuple(INTERPRETER_ALIASES)
 
 
 def _read_source(path: str) -> str:
@@ -237,11 +235,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
         print(f"unknown scenario {args.scenario!r}; try: {', '.join(scenarios)}")
         return 1
     scenario = scenarios[args.scenario]
-    module = scenario.compile()
     print(f"{scenario.name}: {scenario.description}")
     failures = 0
-    for scheme in SCHEMES:
-        protected = protect(module, scheme=scheme)
+    for scheme, protected in protect_all(scenario.compile(), consume=True).items():
         outcome = scenario.attack_outcome(scenario.run_attack(protected.module))
         print(f"  {scheme:8s} -> {outcome}")
         if scheme == "vanilla" and outcome != "success":
@@ -259,8 +255,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     base = None
     print(f"{args.benchmark}: {module.instruction_count()} IR instructions")
-    for scheme in SCHEMES:
-        protected = protect(module, scheme=scheme)
+    for scheme, protected in protect_all(module, consume=True).items():
         with current_tracer().span(f"execute:{scheme}", "exec", benchmark=args.benchmark):
             result = CPU(
                 protected.module,
@@ -748,7 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--interpreter",
-        choices=_INTERPRETER_CHOICES,
+        choices=INTERPRETERS,
         default=None,
         help="CPU backend (default: pre-decoded dispatch)",
     )
@@ -789,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument(
         "--interpreter",
-        choices=_INTERPRETER_CHOICES,
+        choices=INTERPRETERS,
         default=None,
         help="CPU backend (default: pre-decoded dispatch)",
     )
@@ -821,7 +816,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--interpreter",
-        choices=_INTERPRETER_CHOICES,
+        choices=INTERPRETERS,
         default=None,
         help="CPU backend (default: pre-decoded dispatch)",
     )
@@ -883,7 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument(
         "--interpreter",
-        choices=_INTERPRETER_CHOICES,
+        choices=INTERPRETERS,
         default=None,
         help="CPU backend (default: pre-decoded dispatch)",
     )
@@ -948,7 +943,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--interpreter",
-        choices=_INTERPRETER_CHOICES,
+        choices=INTERPRETERS,
         default=None,
         help="CPU backend (default: trace, with per-block attribution)",
     )
@@ -1094,7 +1089,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--interpreter",
-        choices=_INTERPRETER_CHOICES,
+        choices=INTERPRETERS,
         default="trace",
         help="interpreter requested for run/profile ops (default: trace)",
     )

@@ -19,8 +19,6 @@ class DefenseConfig:
     ``run_mem2reg``
         Promote scalars to SSA first, as the paper does; only surviving
         memory traffic is instrumented.
-    ``verify``
-        Run the IR verifier before and after every pass.
     ``protect_stack`` / ``protect_heap``
         Ablation switches for the two halves of the Pythia scheme.
     ``protect_fields``
@@ -30,7 +28,6 @@ class DefenseConfig:
 
     scheme: str = "pythia"
     run_mem2reg: bool = True
-    verify: bool = True
     protect_stack: bool = True
     protect_heap: bool = True
     #: §6.4 future work: interleave canaries inside struct fields

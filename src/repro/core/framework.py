@@ -1,13 +1,16 @@
 """The end-to-end Pythia compiler framework.
 
-``protect(module, config)`` runs the analysis pipeline once and applies
-the configured defense passes, returning the instrumented module plus
-the static statistics the evaluation reports (PA instruction counts,
-canary counts, binary size).
+The one place that knows how a module becomes a protected variant:
+:func:`prepare` (verify, mem2reg, verify), :func:`instrument` (one
+scheme's defense passes; vanilla passes through), and
+:func:`protect_variant` (clone a prepared module, remap its shared
+vulnerability report into the clone, instrument).  :func:`protect`
+runs the pipeline for one scheme, :func:`protect_all` for several
+sharing one analysis, and the serve registry keeps prepared modules
+warm.  :func:`cached_result`/:func:`store_result` convert results to
+and from compilation-cache entries.
 
-Modules are cloned before instrumentation, so one source module can be
-protected under several schemes and compared -- exactly what the
-benchmark harness does.  Cloning is a structural object-graph copy
+Cloning is a structural object-graph copy
 (:meth:`repro.ir.module.Module.clone`); the older textual round-trip is
 kept as :func:`clone_module_textual` and doubles as the verification
 oracle in the test suite.
@@ -17,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
-from ..analysis.manager import invalidate_analyses
+from ..analysis.manager import get_manager, invalidate_analyses
 from ..hardware.decoder import invalidate_decode_cache
 from ..hardware.errors import ReproError
 from ..ir.instructions import is_pa_instruction
@@ -35,6 +38,7 @@ from ..transforms.mem2reg import Mem2Reg
 from ..transforms.pass_manager import PassManager
 from ..transforms.stack_protect import StackProtectionPass
 from .config import DefenseConfig, SCHEMES
+from .remap import remap_report
 from .vulnerability import VulnerabilityAnalysis, VulnerabilityReport
 
 #: Estimated bytes per IR instruction when reporting binary sizes
@@ -114,6 +118,42 @@ class ProtectionResult:
         return int(stats.get("canaries", 0))
 
 
+@dataclass
+class PreparedModule:
+    """A verified, SSA-promoted module: the clone source of every variant."""
+
+    module: Module
+    #: wall seconds of the shared phases (``verify``, ``mem2reg``, and
+    #: ``analysis`` once :meth:`analyze` has run)
+    timings: Dict[str, float] = field(default_factory=dict)
+    #: the shared §4.1 report over ``module``, set by :meth:`analyze`
+    report: Optional[VulnerabilityReport] = None
+
+    def analyze(self) -> VulnerabilityReport:
+        """The shared vulnerability report, computed on first use."""
+        if self.report is None:
+            with phase_span("analysis", self.timings):
+                self.report = get_manager().vulnerability_report(self.module)
+        return self.report
+
+
+def prepare(module: Module, mem2reg: bool = True) -> PreparedModule:
+    """Verify ``module``, promote it to SSA, and verify again, in place."""
+    prepared = PreparedModule(module)
+    with phase_span("verify", prepared.timings):
+        verify_module(module)
+    if mem2reg:
+        with phase_span("mem2reg", prepared.timings):
+            Mem2Reg().run(module)
+        with phase_span("verify", prepared.timings):
+            verify_module(module)
+        # mem2reg runs outside the PassManager, so drop any stale
+        # pre-decoded program and cached analyses explicitly
+        invalidate_decode_cache(module)
+        invalidate_analyses(module)
+    return prepared
+
+
 def _build_passes(config: DefenseConfig, report: VulnerabilityReport) -> list:
     passes = []
     if config.scheme == "cpa":
@@ -132,61 +172,26 @@ def _build_passes(config: DefenseConfig, report: VulnerabilityReport) -> list:
     return passes
 
 
-def protect(
+def instrument(
     module: Module,
-    config: Optional[DefenseConfig] = None,
-    scheme: Optional[str] = None,
-    clone: bool = True,
-    report: Optional[VulnerabilityReport] = None,
-    prepared: bool = False,
+    config: DefenseConfig,
+    report: Optional[VulnerabilityReport],
+    timings: Dict[str, float],
 ) -> ProtectionResult:
-    """Apply a defense scheme to (a clone of) ``module``.
+    """Run ``config``'s defense passes over the prepared ``module`` in place.
 
-    ``prepared=True`` declares that the caller already verified and
-    mem2reg-promoted the module (``protect_all`` clones from one
-    prepared module), so both steps are skipped here.  Passing
-    ``report`` skips the vulnerability analysis and instruments from
-    the given report instead -- under the shared-analysis path this is
-    a :func:`~repro.core.remap.remap_report` translation of an analysis
-    computed once on the pristine module.
+    ``vanilla`` passes the module through.  Pass and verify times add
+    to ``timings``, which becomes the result's.
     """
-    if config is None:
-        config = DefenseConfig(scheme=scheme or "pythia")
-    elif scheme is not None:
-        raise ValueError("pass either config or scheme, not both")
-    target = clone_module(module) if clone else module
-    timings: Dict[str, float] = {}
-
-    if not prepared:
-        if config.verify:
-            with phase_span("verify", timings):
-                verify_module(target)
-        if config.run_mem2reg:
-            with phase_span("mem2reg", timings):
-                Mem2Reg().run(target)
-            if config.verify:
-                with phase_span("verify", timings):
-                    verify_module(target)
-            # mem2reg runs outside the PassManager, so drop any stale
-            # pre-decoded program and cached analyses explicitly
-            invalidate_decode_cache(target)
-            invalidate_analyses(target)
-
     if config.scheme == "vanilla":
         return ProtectionResult(
-            module=target, scheme="vanilla", report=None, timings=timings
+            module=module, scheme="vanilla", report=None, timings=timings
         )
-
-    if report is None:
-        with phase_span("analysis", timings):
-            report = VulnerabilityAnalysis(target).analyze()
-    passes = _build_passes(config, report)
-
-    # The incoming module was verified above (or by the prepared
-    # caller), so the pipeline only re-verifies after each mutation.
-    manager = PassManager(passes, verify=config.verify, verify_input=False)
+    # The incoming module was verified when it was prepared, so the
+    # pipeline only re-verifies after the mutation.
+    manager = PassManager(_build_passes(config, report), verify_input=False)
     try:
-        stats = manager.run(target)
+        stats = manager.run(module)
     except VerificationError as exc:
         first = exc.errors[0] if exc.errors else str(exc)
         raise ProtectionError(
@@ -198,12 +203,53 @@ def protect(
         else:
             timings[f"pass:{name}"] = seconds
     return ProtectionResult(
-        module=target,
+        module=module,
         scheme=config.scheme,
         report=report,
         pass_stats=stats,
         timings=timings,
     )
+
+
+def protect_variant(prepared: PreparedModule, config: DefenseConfig) -> ProtectionResult:
+    """One scheme's variant of ``prepared``.
+
+    Vanilla is the prepared module itself, with a copy of the shared
+    timings.  Every other scheme instruments a clone, into which the
+    shared report is translated under a ``remap`` span.
+    """
+    if config.scheme == "vanilla":
+        return instrument(prepared.module, config, None, dict(prepared.timings))
+    report = prepared.analyze()
+    target, vmap = prepared.module.clone(value_map=True)
+    timings: Dict[str, float] = {}
+    with phase_span("remap", timings):
+        remapped = remap_report(report, vmap)
+    return instrument(target, config, remapped, timings)
+
+
+def protect(
+    module: Module,
+    config: Optional[DefenseConfig] = None,
+    scheme: Optional[str] = None,
+    clone: bool = True,
+) -> ProtectionResult:
+    """Apply a defense scheme to (a clone of) ``module``.
+
+    Runs the whole pipeline for one scheme: prepare, a fresh
+    vulnerability analysis of the prepared module, and instrument.
+    """
+    if config is None:
+        config = DefenseConfig(scheme=scheme or "pythia")
+    elif scheme is not None:
+        raise ValueError("pass either config or scheme, not both")
+    target = clone_module(module) if clone else module
+    prepared = prepare(target, mem2reg=config.run_mem2reg)
+    report = None
+    if config.scheme != "vanilla":
+        with phase_span("analysis", prepared.timings):
+            report = VulnerabilityAnalysis(target).analyze()
+    return instrument(target, config, report, prepared.timings)
 
 
 def protect_all(
@@ -215,10 +261,9 @@ def protect_all(
     """Protect independent clones of ``module`` under several schemes.
 
     The default *shared-analysis* path verifies, promotes, and analyzes
-    the module **once**, then clones the prepared module per scheme and
-    carries the vulnerability report into each clone through the clone's
-    value map (:func:`~repro.core.remap.remap_report`).  The prepared
-    module itself becomes the vanilla result.
+    the module **once**, then builds each scheme's variant from the
+    prepared module (:func:`protect_variant`).  The prepared module
+    itself becomes the vanilla result.
 
     ``shared_analysis=False`` is the original re-analyze-per-scheme
     path; the test suite uses it as the oracle (both paths must produce
@@ -226,9 +271,10 @@ def protect_all(
 
     ``consume=True`` transfers ownership of ``module`` to the pipeline:
     it may be mutated in place (it becomes the mem2reg-prepared vanilla
-    module) instead of being cloned pristine first.  Callers that build
-    a module per compilation -- the suite runner, the benchmarks -- have
-    no further use for the input and skip one full clone this way.
+    module) instead of being cloned pristine first.  Callers that
+    compile a module only to protect it -- ``repro attack`` and
+    ``repro bench``, the nginx workload, the chaos and campaign
+    harnesses -- skip one full clone this way.
 
     Phase timings land where the work happens: the vanilla result
     carries the shared ``verify``/``mem2reg``/``analysis`` phases, each
@@ -245,47 +291,44 @@ def protect_all(
             )
         return results
 
-    from ..analysis.manager import get_manager
-    from .remap import remap_report
+    prepared = prepare(module if consume else clone_module(module))
+    if any(scheme != "vanilla" for scheme in schemes):
+        # Analyze before any variant, so vanilla's timings include it.
+        prepared.analyze()
+    return {
+        scheme: protect_variant(prepared, DefenseConfig(scheme=scheme))
+        for scheme in schemes
+    }
 
-    prep_timings: Dict[str, float] = {}
-    prepared = module if consume else clone_module(module)
-    with phase_span("verify", prep_timings):
-        verify_module(prepared)
-    with phase_span("mem2reg", prep_timings):
-        Mem2Reg().run(prepared)
-    with phase_span("verify", prep_timings):
-        verify_module(prepared)
-    invalidate_decode_cache(prepared)
-    invalidate_analyses(prepared)
 
-    needs_analysis = any(scheme != "vanilla" for scheme in schemes)
-    report = None
-    if needs_analysis:
-        with phase_span("analysis", prep_timings):
-            report = get_manager().vulnerability_report(prepared)
+# -- on-disk compilation cache entries ------------------------------------------
 
-    results: Dict[str, ProtectionResult] = {}
-    for scheme in schemes:
-        if scheme == "vanilla":
-            results[scheme] = ProtectionResult(
-                module=prepared,
-                scheme="vanilla",
-                report=None,
-                timings=dict(prep_timings),
-            )
-            continue
-        target, vmap = prepared.clone(value_map=True)
-        remap_timings: Dict[str, float] = {}
-        with phase_span("remap", remap_timings):
-            remapped = remap_report(report, vmap)
-        result = protect(
-            target,
-            config=DefenseConfig(scheme=scheme),
-            clone=False,
-            report=remapped,
-            prepared=True,
-        )
-        result.timings["remap"] = remap_timings["remap"]
-        results[scheme] = result
-    return results
+
+def cached_result(
+    entry: Dict[str, Any], scheme: str, module: Optional[Module] = None
+) -> ProtectionResult:
+    """The result a compilation-cache entry stores; its printed module
+    is parsed unless the caller passes it already parsed as ``module``.
+    """
+    if module is None:
+        from ..ir.parser import parse_module
+
+        module = parse_module(entry["module"])
+    return ProtectionResult(
+        module=module,
+        scheme=scheme,
+        report=None,
+        pass_stats=entry["pass_stats"],
+        timings=dict(entry.get("timings", {})),
+    )
+
+
+def store_result(cache, key: str, result: ProtectionResult) -> None:
+    """Store ``result`` in the compilation cache under ``key``."""
+    cache.store(
+        key,
+        result.scheme,
+        print_module(result.module),
+        result.pass_stats,
+        result.timings,
+    )

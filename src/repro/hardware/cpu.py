@@ -23,8 +23,7 @@ Three interpreter backends execute the same semantics:
 - ``trace``: runs code generated by :mod:`repro.hardware.tracec` --
   hot regions fused into single Python functions, every other block
   compiled on its own -- and falls back to ``decoded`` whenever its
-  batched accounting cannot be trusted.  ``block`` is accepted as an
-  alias of ``trace``.
+  batched accounting cannot be trusted.
 
 Select with ``CPU(..., interpreter="reference")`` or the
 ``REPRO_INTERPRETER`` environment variable.
@@ -105,10 +104,6 @@ _MASK64 = (1 << 64) - 1
 
 #: Interpreter backends accepted by :class:`CPU`.
 INTERPRETERS = ("decoded", "reference", "trace")
-
-#: Retired backend names still accepted, and the backend they run (and
-#: report in :attr:`ExecutionResult.interpreter`).
-INTERPRETER_ALIASES = {"block": "trace"}
 
 #: Shared infinite default-writer iterator for bulk shadow lookups
 #: (``map`` stops at the shortest input, so sharing one is safe).
@@ -383,7 +378,6 @@ class CPU:
         self.call_fault_hook = None
         if interpreter is None:
             interpreter = os.environ.get("REPRO_INTERPRETER", "decoded")
-        interpreter = INTERPRETER_ALIASES.get(interpreter, interpreter)
         if interpreter not in INTERPRETERS:
             raise UnknownInterpreterError(
                 f"unknown interpreter {interpreter!r}; expected one of {INTERPRETERS}"

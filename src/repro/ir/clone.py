@@ -1,7 +1,7 @@
 """Structural module cloning: a direct object-graph deep copy.
 
-``protect()`` clones the input module once per scheme so the schemes can
-be compared on identical inputs.  The original implementation round-
+The compile pipeline clones the prepared module once per scheme so the
+schemes can be compared on identical inputs.  The original implementation round-
 tripped through the textual printer and parser, which costs a full
 print, lex, and parse per clone; this module copies the object graph
 directly instead.  The textual round-trip survives as

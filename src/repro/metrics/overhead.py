@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..core.config import DefenseConfig, SCHEMES
-from ..core.framework import ProtectionResult, protect_all
+from ..core.framework import ProtectionResult, cached_result, protect_all, store_result
 from ..hardware.cpu import CPU, ExecutionResult
 from ..ir.module import Module
+from ..ir.printer import print_module
 from ..observability import current_tracer, get_metrics, publish_execution
 from ..workloads.generator import GeneratedProgram
 
@@ -128,49 +129,28 @@ def _protect_schemes(module: Module, schemes: Sequence[str], cache):
     missing entries are stored.
     """
     schemes = tuple(schemes)
-    entries = None
-    if cache is not None:
-        from ..ir.parser import parse_module
-        from ..ir.printer import print_module
-
-        use_memo = cache.fault_hook is None
-        text = print_module(module)
-        keys = {
-            scheme: cache.key_for(text, DefenseConfig(scheme=scheme))
-            for scheme in schemes
-        }
-        entries = {scheme: cache.load(keys[scheme]) for scheme in schemes}
-        if all(entry is not None for entry in entries.values()):
-            results = {}
-            for scheme in schemes:
-                key = keys[scheme]
-                parsed = _PARSED_MODULES.get((cache.root, key)) if use_memo else None
-                if parsed is None:
-                    parsed = parse_module(entries[scheme]["module"])
-                    if use_memo:
-                        _memo_module(cache, key, parsed)
-                results[scheme] = ProtectionResult(
-                    module=parsed,
-                    scheme=scheme,
-                    report=None,
-                    pass_stats=entries[scheme]["pass_stats"],
-                    timings=dict(entries[scheme].get("timings", {})),
-                )
-            return results, {scheme: True for scheme in schemes}
+    if cache is None:
+        return protect_all(module, schemes=schemes), dict.fromkeys(schemes, False)
+    use_memo = cache.fault_hook is None
+    text = print_module(module)
+    keys = {
+        scheme: cache.key_for(text, DefenseConfig(scheme=scheme)) for scheme in schemes
+    }
+    entries = {scheme: cache.load(keys[scheme]) for scheme in schemes}
+    if all(entry is not None for entry in entries.values()):
+        results = {}
+        for scheme in schemes:
+            memo = _PARSED_MODULES.get((cache.root, keys[scheme])) if use_memo else None
+            results[scheme] = cached_result(entries[scheme], scheme, memo)
+            if use_memo and memo is None:
+                _memo_module(cache, keys[scheme], results[scheme].module)
+        return results, dict.fromkeys(schemes, True)
 
     results = protect_all(module, schemes=schemes)
-    if cache is None:
-        return results, {scheme: False for scheme in schemes}
     for scheme in schemes:
         if entries[scheme] is None:
-            cache.store(
-                keys[scheme],
-                scheme,
-                print_module(results[scheme].module),
-                results[scheme].pass_stats,
-                results[scheme].timings,
-            )
-            if cache.fault_hook is None and not cache.disabled:
+            store_result(cache, keys[scheme], results[scheme])
+            if use_memo and not cache.disabled:
                 _memo_module(cache, keys[scheme], results[scheme].module)
     return results, {scheme: entries[scheme] is not None for scheme in schemes}
 

@@ -48,6 +48,7 @@ from .events import (
 from .metrics import (
     METRICS_SCHEMA,
     MetricsRegistry,
+    QuantileSketch,
     bucket_index,
     histogram_percentiles,
     percentile_from_buckets,
@@ -118,7 +119,6 @@ __all__ = [
 # ``trace``, ``metrics`` and ``events`` stay eager because the globals
 # below are built from them.
 _LAZY = {
-    "QuantileSketch": "aggregate",
     "WindowAggregator": "aggregate",
     "render_dashboard": "aggregate",
     "audit_events": "audit",

@@ -2,14 +2,14 @@
 
 Two building blocks sit here:
 
-- a **log-bucketed quantile sketch** (:class:`QuantileSketch`): values
-  map to geometric buckets (ratio :data:`BUCKET_BASE` per step, ~9%
-  relative error), so percentile estimation over millions of latency
-  samples costs a small dict instead of the sample list.  The same
-  bucketing (defined in :mod:`.metrics`) backs the optional
-  ``buckets`` field of ``repro-metrics-v1`` histograms, which is how
-  ``serve stats`` renders p50/p90/p99 from the metrics snapshot -- one
-  source of truth with ``loadgen`` and ``repro top``;
+- a **log-bucketed quantile sketch** (:class:`QuantileSketch`, defined
+  in :mod:`.metrics` and re-exported here): values map to geometric
+  buckets (ratio :data:`BUCKET_BASE` per step, ~9% relative error), so
+  percentile estimation over millions of latency samples costs a small
+  dict instead of the sample list.  The same sketch backs every
+  ``repro-metrics-v1`` histogram, which is how ``serve stats`` renders
+  p50/p90/p99 from the metrics snapshot -- one source of truth with
+  ``loadgen`` and ``repro top``;
 - a **rolling time-window aggregator** (:class:`WindowAggregator`):
   counters and sketches sliced into fixed time buckets that expire as
   the window slides, yielding req/s, error rates, per-scheme trap
@@ -23,76 +23,19 @@ deterministic under test.
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-# The bucketing itself lives in :mod:`.metrics`, which every process
-# loads; the names stay importable from here.
+# The sketch and its bucketing live in :mod:`.metrics`, which every
+# process loads; the names stay importable from here.
 from .metrics import (  # noqa: F401 - re-exported
     BUCKET_BASE,
     ZERO_BUCKET,
+    QuantileSketch,
     bucket_index,
     bucket_value,
     percentile_from_buckets,
 )
-
-
-class QuantileSketch:
-    """Mergeable log-bucketed histogram with percentile queries."""
-
-    __slots__ = ("buckets", "count", "total", "minimum", "maximum")
-
-    def __init__(self):
-        self.buckets: Dict[int, int] = {}
-        self.count = 0
-        self.total = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    def add(self, value: float) -> None:
-        index = bucket_index(value)
-        self.buckets[index] = self.buckets.get(index, 0) + 1
-        self.count += 1
-        self.total += value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    def merge(self, other: "QuantileSketch") -> None:
-        for index, count in other.buckets.items():
-            self.buckets[index] = self.buckets.get(index, 0) + count
-        self.count += other.count
-        self.total += other.total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-
-    def quantile(self, q: float) -> float:
-        """The ``q``-th percentile (0..100); exact min/max at the edges."""
-        if self.count == 0:
-            return 0.0
-        if q <= 0:
-            return self.minimum
-        if q >= 100:
-            return self.maximum
-        estimate = percentile_from_buckets(self.buckets, q)
-        # The sketch cannot know more than the true extremes.
-        return min(max(estimate, self.minimum), self.maximum)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "p50": self.quantile(50.0),
-            "p90": self.quantile(90.0),
-            "p99": self.quantile(99.0),
-            "max": self.maximum if self.count else 0.0,
-        }
 
 
 class WindowAggregator:

@@ -6,11 +6,11 @@ A :class:`MetricsRegistry` is a process-local bag of named metrics:
   executed PAC instructions, quarantined tasks);
 - **gauges** -- last-written values (effective job fan-out, whether the
   compilation cache degraded to off);
-- **histograms** -- running ``count/sum/min/max`` summaries of repeated
-  observations (compile phase seconds, per-run wall time), plus a
-  log-bucketed quantile sketch (:func:`bucket_index`; the mergeable
-  :class:`~.aggregate.QuantileSketch` uses the same buckets) so
-  consumers can render p50/p90/p99 from the snapshot alone --
+- **histograms** -- one mergeable :class:`QuantileSketch` per name of
+  repeated observations (compile phase seconds, per-run wall time): a
+  running ``count/sum/min/max`` summary plus log-bucketed counts
+  (:func:`bucket_index`), so consumers can render p50/p90/p99 from
+  the snapshot alone --
   ``serve stats``, ``repro top``, and ``loadgen`` all read the same
   buckets, which is what keeps their percentiles one source of truth.
 
@@ -90,6 +90,81 @@ def percentile_from_buckets(buckets: Dict[Any, int], q: float) -> float:
     return bucket_value(pairs[-1][0])
 
 
+class QuantileSketch:
+    """Mergeable log-bucketed histogram with percentile queries."""
+
+    __slots__ = ("buckets", "count", "total", "minimum", "maximum")
+
+    def __init__(self):
+        self.buckets: Dict[int, int] = {}
+        self.count = 0
+        # An int zero keeps an all-int series' sum an int in snapshots.
+        self.total = 0
+        self.minimum = math.inf
+        self.maximum = -math.inf
+
+    def add(self, value: float) -> None:
+        index = bucket_index(value)
+        self.buckets[index] = self.buckets.get(index, 0) + 1
+        self.count += 1
+        self.total += value
+        if value < self.minimum:
+            self.minimum = value
+        if value > self.maximum:
+            self.maximum = value
+
+    def merge(self, other: "QuantileSketch") -> None:
+        for index, count in other.buckets.items():
+            self.buckets[index] = self.buckets.get(index, 0) + count
+        self.count += other.count
+        self.total += other.total
+        self.minimum = min(self.minimum, other.minimum)
+        self.maximum = max(self.maximum, other.maximum)
+
+    @classmethod
+    def from_snapshot(cls, stats: Dict[str, Any]) -> "QuantileSketch":
+        """The sketch of one ``repro-metrics-v1`` snapshot histogram.
+
+        Snapshots written before the sketch existed lack ``buckets``;
+        their summary still merges.
+        """
+        sketch = cls()
+        sketch.count = stats["count"]
+        sketch.total = stats["sum"]
+        sketch.minimum = stats["min"]
+        sketch.maximum = stats["max"]
+        sketch.buckets = {
+            int(index): count for index, count in (stats.get("buckets") or {}).items()
+        }
+        return sketch
+
+    def quantile(self, q: float) -> float:
+        """The ``q``-th percentile (0..100); exact min/max at the edges."""
+        if self.count == 0:
+            return 0.0
+        if q <= 0:
+            return self.minimum
+        if q >= 100:
+            return self.maximum
+        estimate = percentile_from_buckets(self.buckets, q)
+        # The sketch cannot know more than the true extremes.
+        return min(max(estimate, self.minimum), self.maximum)
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+    def summary(self) -> Dict[str, float]:
+        return {
+            "count": self.count,
+            "mean": self.mean,
+            "p50": self.quantile(50.0),
+            "p90": self.quantile(90.0),
+            "p99": self.quantile(99.0),
+            "max": self.maximum if self.count else 0.0,
+        }
+
+
 class MetricsRegistry:
     """One process's named counters, gauges, and histograms."""
 
@@ -98,8 +173,7 @@ class MetricsRegistry:
     def __init__(self):
         self.counters: Dict[str, int] = {}
         self.gauges: Dict[str, float] = {}
-        #: name -> [count, total, minimum, maximum]
-        self.histograms: Dict[str, list] = {}
+        self.histograms: Dict[str, QuantileSketch] = {}
 
     # -- updates -----------------------------------------------------------
 
@@ -112,32 +186,24 @@ class MetricsRegistry:
 
     def observe(self, name: str, value: float) -> None:
         """Record one observation into the histogram ``name``."""
-        stats = self.histograms.get(name)
-        if stats is None:
-            self.histograms[name] = [1, value, value, value, {bucket_index(value): 1}]
-            return
-        stats[0] += 1
-        stats[1] += value
-        if value < stats[2]:
-            stats[2] = value
-        if value > stats[3]:
-            stats[3] = value
-        index = bucket_index(value)
-        stats[4][index] = stats[4].get(index, 0) + 1
+        sketch = self.histograms.get(name)
+        if sketch is None:
+            sketch = self.histograms[name] = QuantileSketch()
+        sketch.add(value)
 
     # -- snapshots ---------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
         """The canonical JSON-able snapshot of this registry."""
         histograms = {}
-        for name, (count, total, minimum, maximum, buckets) in self.histograms.items():
+        for name, sketch in self.histograms.items():
             histograms[name] = {
-                "count": count,
-                "sum": total,
-                "min": minimum,
-                "max": maximum,
-                "mean": total / count if count else 0.0,
-                "buckets": {str(index): n for index, n in sorted(buckets.items())},
+                "count": sketch.count,
+                "sum": sketch.total,
+                "min": sketch.minimum,
+                "max": sketch.maximum,
+                "mean": sketch.mean,
+                "buckets": {str(index): n for index, n in sorted(sketch.buckets.items())},
             }
         return {
             "schema": METRICS_SCHEMA,
@@ -158,27 +224,12 @@ class MetricsRegistry:
         for name, value in (snapshot.get("gauges") or {}).items():
             self.set_gauge(name, value)
         for name, stats in (snapshot.get("histograms") or {}).items():
-            # Pre-sketch snapshots lack "buckets"; fold what's there.
-            incoming = {
-                int(index): count
-                for index, count in (stats.get("buckets") or {}).items()
-            }
+            incoming = QuantileSketch.from_snapshot(stats)
             mine = self.histograms.get(name)
             if mine is None:
-                self.histograms[name] = [
-                    stats["count"],
-                    stats["sum"],
-                    stats["min"],
-                    stats["max"],
-                    incoming,
-                ]
+                self.histograms[name] = incoming
             else:
-                mine[0] += stats["count"]
-                mine[1] += stats["sum"]
-                mine[2] = min(mine[2], stats["min"])
-                mine[3] = max(mine[3], stats["max"])
-                for index, count in incoming.items():
-                    mine[4][index] = mine[4].get(index, 0) + count
+                mine.merge(incoming)
 
 
 def validate_snapshot(snapshot: Any) -> Optional[str]:

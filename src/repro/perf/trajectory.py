@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 
 def load_entries(path: str) -> List[Dict[str, Any]]:
@@ -55,13 +55,17 @@ def append_entry(path: str, entry: Dict[str, Any]) -> List[Dict[str, Any]]:
     return entries
 
 
-def _tier_throughput(entry: Dict[str, Any], field: str) -> Optional[float]:
-    """Geomean of a per-scheme steps/s field across an entry's schemes."""
+def trace_throughput(entry: Dict[str, Any]) -> Optional[float]:
+    """Geomean trace-tier steps/s across an entry's schemes.
+
+    Returns ``None`` for entries without trace-tier data (written
+    before the trace interpreter existed, or by other benchmarks).
+    """
     schemes = entry.get("schemes")
     if not isinstance(schemes, dict):
         return None
     rates = [
-        scheme.get(field)
+        scheme.get("trace_steps_per_second")
         for scheme in schemes.values()
         if isinstance(scheme, dict)
     ]
@@ -71,17 +75,50 @@ def _tier_throughput(entry: Dict[str, Any], field: str) -> Optional[float]:
     return math.exp(sum(math.log(rate) for rate in rates) / len(rates))
 
 
-def trace_throughput(entry: Dict[str, Any]) -> Optional[float]:
-    """Geomean trace-tier steps/s across an entry's schemes.
-
-    Returns ``None`` for entries without trace-tier data (written
-    before the trace interpreter existed, or by other benchmarks).
+def _against_last(
+    entries: Sequence[Dict[str, Any]],
+    entry: Dict[str, Any],
+    extract: Callable[[Dict[str, Any]], Optional[float]],
+) -> Optional[Tuple[float, float]]:
+    """``(current, baseline)``: ``entry``'s value and that of the last
+    prior entry carrying the field, or ``None`` when either is missing.
     """
-    return _tier_throughput(entry, "trace_steps_per_second")
+    current = extract(entry)
+    if current is None:
+        return None
+    for previous in reversed(entries):
+        baseline = extract(previous)
+        if baseline is not None:
+            return current, baseline
+    return None
 
 
-#: (display name, per-entry geomean extractor) for every gated tier.
-_GATED_TIERS = (("trace", trace_throughput),)
+def _gate_file(
+    path: str,
+    entry: Dict[str, Any],
+    extract: Callable[[Dict[str, Any]], Optional[float]],
+    check: Callable[..., Optional[str]],
+    tolerance: float,
+    gate: str,
+    fields: str,
+) -> Tuple[Optional[str], Optional[str]]:
+    """Run ``check`` against the trajectory at ``path``, never crashing.
+
+    Returns ``(failure, skip_note)``; the check is skipped, with a
+    reason, when the file is missing, empty or corrupt, or when no
+    entry on either side carries ``extract``'s field.
+    """
+    skip = f"no baseline, skipping {gate}-regression check"
+    entries = safe_load_entries(path)
+    if entries is None:
+        return None, f"{skip} ({path}: unreadable or corrupt)"
+    if not entries:
+        return None, f"{skip} ({path}: missing or empty)"
+    if extract(entry) is None:
+        return None, f"{skip} (new entry lacks {fields} fields)"
+    if all(extract(previous) is None for previous in entries):
+        return None, f"{skip} ({path}: no prior entry has {fields} fields)"
+    return check(entries, entry, tolerance), None
 
 
 def check_block_regression(
@@ -89,36 +126,24 @@ def check_block_regression(
     entry: Dict[str, Any],
     tolerance: float = 0.10,
 ) -> Optional[str]:
-    """Compare ``entry``'s compiled-tier throughputs to the trajectory.
+    """Compare ``entry``'s trace-tier throughput to the trajectory.
 
-    Gates every tier in ``_GATED_TIERS`` (the trace tier).  For each,
-    returns a human-readable failure message when the new entry's
+    Returns a human-readable failure message when the new entry's
     geomean steps/s falls more than ``tolerance`` below the most recent
-    prior entry carrying that tier's data; tiers missing on either side
-    are skipped, so entries written before a tier existed never fail
-    its gate.  Multiple regressions join into one message; ``None``
-    means no regression (or nothing to compare against).
+    prior entry carrying trace-tier data; ``None`` means no regression
+    (or nothing to compare against, e.g. entries written before the
+    trace tier existed).
     """
-    failures = []
-    for name, throughput in _GATED_TIERS:
-        current = throughput(entry)
-        if current is None:
-            continue
-        baseline = None
-        for previous in reversed(entries):
-            baseline = throughput(previous)
-            if baseline is not None:
-                break
-        if baseline is None:
-            continue
-        if current < baseline * (1.0 - tolerance):
-            failures.append(
-                f"{name} tier regressed: {current:,.0f} steps/s vs "
-                f"{baseline:,.0f} baseline ({current / baseline - 1.0:+.1%}, "
-                f"tolerance -{tolerance:.0%})"
-            )
-    if failures:
-        return "; ".join(failures)
+    pair = _against_last(entries, entry, trace_throughput)
+    if pair is None:
+        return None
+    current, baseline = pair
+    if current < baseline * (1.0 - tolerance):
+        return (
+            f"trace tier regressed: {current:,.0f} steps/s vs "
+            f"{baseline:,.0f} baseline ({current / baseline - 1.0:+.1%}, "
+            f"tolerance -{tolerance:.0%})"
+        )
     return None
 
 
@@ -133,29 +158,14 @@ def check_block_regression_file(
     message from :func:`check_block_regression` (``None`` when the
     check passed).  When no comparison is possible -- the file is
     missing, empty, corrupt, or no entry on either side carries
-    gated-tier fields -- the check is *skipped* and ``skip_note`` says
+    trace-tier fields -- the check is *skipped* and ``skip_note`` says
     why; a fresh checkout must not fail its first benchmark run over an
     absent baseline.
     """
-    skip = "no baseline, skipping block-regression check"
-    entries = safe_load_entries(path)
-    if entries is None:
-        return None, f"{skip} ({path}: unreadable or corrupt)"
-    if not entries:
-        return None, f"{skip} ({path}: missing or empty)"
-    # Comparable when *some* tier has data on both sides; a tier absent
-    # from either side (e.g. pre-trace entries) silently skips its gate
-    # inside check_block_regression instead of blocking the others.
-    comparable = any(
-        throughput(entry) is not None
-        and any(throughput(previous) is not None for previous in entries)
-        for _, throughput in _GATED_TIERS
+    return _gate_file(
+        path, entry, trace_throughput, check_block_regression, tolerance,
+        "block", "gated-tier",
     )
-    if not comparable:
-        if all(throughput(entry) is None for _, throughput in _GATED_TIERS):
-            return None, f"{skip} (new entry lacks gated-tier fields)"
-        return None, f"{skip} ({path}: no prior entry has gated-tier fields)"
-    return check_block_regression(entries, entry, tolerance), None
 
 
 # -- serve-daemon latency gate (BENCH_serve.json) ------------------------------
@@ -188,16 +198,10 @@ def check_serve_regression(
     ``tolerance`` *above* the most recent prior entry carrying serve
     data.  ``None`` means no regression (or nothing to compare).
     """
-    current = serve_p99(entry)
-    if current is None:
+    pair = _against_last(entries, entry, serve_p99)
+    if pair is None:
         return None
-    baseline = None
-    for previous in reversed(entries):
-        baseline = serve_p99(previous)
-        if baseline is not None:
-            break
-    if baseline is None:
-        return None
+    current, baseline = pair
     if current > baseline * (1.0 + tolerance):
         return (
             f"serve p99 latency regressed: {current:.2f}ms vs "
@@ -218,14 +222,6 @@ def check_serve_regression_file(
     ``(failure, skip_note)``, skipping (with a reason) when the file is
     missing, corrupt, or no entry on either side carries serve fields.
     """
-    skip = "no baseline, skipping serve-regression check"
-    entries = safe_load_entries(path)
-    if entries is None:
-        return None, f"{skip} ({path}: unreadable or corrupt)"
-    if not entries:
-        return None, f"{skip} ({path}: missing or empty)"
-    if serve_p99(entry) is None:
-        return None, f"{skip} (new entry lacks serve fields)"
-    if all(serve_p99(previous) is None for previous in entries):
-        return None, f"{skip} ({path}: no prior entry has serve fields)"
-    return check_serve_regression(entries, entry, tolerance), None
+    return _gate_file(
+        path, entry, serve_p99, check_serve_regression, tolerance, "serve", "serve"
+    )

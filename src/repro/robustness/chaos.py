@@ -39,7 +39,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..core.framework import protect
+from ..core.framework import protect_all
 from ..hardware.cpu import CPU
 from ..ir.printer import print_module
 from ..observability import current_tracer, get_event_log, get_metrics
@@ -348,7 +348,7 @@ def run_chaos(
     cache_specs = [spec for spec in plan.specs if spec.kind in CACHE_KINDS]
     if cache_specs:
         needed.add("pythia")
-    protections = {scheme: protect(module, scheme=scheme) for scheme in sorted(needed)}
+    protections = protect_all(module, tuple(sorted(needed)), consume=True)
     baselines = {
         scheme: CPU(result.module, seed=seed, interpreter=interpreter).run(
             inputs=list(program.inputs)

@@ -7,11 +7,10 @@ process, keyed by the content digest of the *source text* (the same
 SHA-256 addressing :mod:`repro.perf.cache` uses for its on-disk
 entries):
 
-- ``prepared`` module: compiled, verified, SSA-promoted once;
-- the shared :class:`~repro.analysis.manager.AnalysisManager`
-  vulnerability report, computed once and carried into every scheme
-  variant through the PR 2 ``Module.clone(value_map=True)`` + report
-  remap path (never re-analyzed per scheme);
+- a :class:`~repro.core.framework.PreparedModule`: compiled,
+  verified, SSA-promoted once, with one shared vulnerability report
+  that :func:`~repro.core.framework.protect_variant` carries into
+  every scheme variant (never re-analyzed per scheme);
 - one :class:`~repro.core.framework.ProtectionResult` per
   ``(scheme, protect_fields)`` variant, whose module object also
   accretes the interpreter tiers' decode and trace code caches
@@ -35,25 +34,27 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..analysis.manager import get_manager, invalidate_analyses
 from ..core.config import DefenseConfig
-from ..core.framework import ProtectionResult, protect
-from ..core.remap import remap_report
+from ..core.framework import (
+    PreparedModule,
+    ProtectionResult,
+    cached_result,
+    prepare,
+    protect_variant,
+    store_result,
+)
 from ..frontend import compile_source
-from ..hardware.decoder import invalidate_decode_cache
-from ..ir.module import Module
-from ..ir.parser import parse_module
 from ..ir.printer import print_module
 from ..observability import get_metrics, phase_span
 from ..observability.events import source_digest
-# Imported at module level, not in ``__init__``: the daemon loads it
-# before forking, so workers inherit it instead of each compiling the
-# perf package on start.
+# Imported at module level, not where first used: the daemon loads
+# them before forking, so workers inherit them instead of each
+# compiling the perf package (and the IR parser ``cached_result``
+# reads disk entries with) on start.
+from ..ir import parser as _parser  # noqa: F401
 from ..perf.cache import CompilationCache
-from ..transforms.mem2reg import Mem2Reg
-from ..ir.verifier import verify_module
 
 
 @dataclass
@@ -72,12 +73,9 @@ class _Entry:
     """Everything warm about one distinct source module."""
 
     digest: str
-    #: verified + mem2reg-promoted module; the vanilla result and the
-    #: clone source for every protected variant
-    prepared: Module
-    #: shared vulnerability report over ``prepared`` (``None`` until a
-    #: non-vanilla scheme first needs it)
-    report: Any = None
+    #: verified + mem2reg-promoted module and its shared vulnerability
+    #: report (analyzed when a non-vanilla scheme first needs it)
+    prepared: PreparedModule
     #: printed pristine-module text, the on-disk cache key basis
     cache_text: Optional[str] = None
     #: (scheme, protect_fields) -> ProtectionResult
@@ -116,33 +114,18 @@ class WarmRegistry:
             return entry
         self.stats.module_misses += 1
         get_metrics().inc("serve.registry.module_misses")
-        timings: Dict[str, float] = {}
-        with phase_span("frontend", timings):
+        with phase_span("frontend"):
             module = compile_source(source, name=name)
         # The on-disk cache keys over the pristine printed module, so
         # capture the text before mem2reg rewrites it.
         cache_text = print_module(module) if self._disk is not None else None
-        with phase_span("verify", timings):
-            verify_module(module)
-        with phase_span("mem2reg", timings):
-            Mem2Reg().run(module)
-        with phase_span("verify", timings):
-            verify_module(module)
-        invalidate_decode_cache(module)
-        invalidate_analyses(module)
-        entry = _Entry(digest=digest, prepared=module, cache_text=cache_text)
+        entry = _Entry(digest=digest, prepared=prepare(module), cache_text=cache_text)
         self._entries[digest] = entry
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
             get_metrics().inc("serve.registry.evictions")
         return entry
-
-    def _report(self, entry: _Entry) -> Any:
-        if entry.report is None:
-            with phase_span("analysis", {}):
-                entry.report = get_manager().vulnerability_report(entry.prepared)
-        return entry.report
 
     # -- scheme variants ---------------------------------------------------------
 
@@ -183,38 +166,10 @@ class WarmRegistry:
             disk_key = self._disk.key_for(entry.cache_text, config)
             cached = self._disk.load(disk_key)
             if cached is not None:
-                return ProtectionResult(
-                    module=parse_module(cached["module"]),
-                    scheme=scheme,
-                    report=None,
-                    pass_stats=cached["pass_stats"],
-                    timings=dict(cached.get("timings", {})),
-                )
-        if scheme == "vanilla":
-            result = ProtectionResult(
-                module=entry.prepared, scheme="vanilla", report=None
-            )
-        else:
-            target, vmap = entry.prepared.clone(value_map=True)
-            timings: Dict[str, float] = {}
-            with phase_span("remap", timings):
-                remapped = remap_report(self._report(entry), vmap)
-            result = protect(
-                target,
-                config=config,
-                clone=False,
-                report=remapped,
-                prepared=True,
-            )
-            result.timings.update(timings)
-        if self._disk is not None and disk_key is not None:
-            self._disk.store(
-                disk_key,
-                scheme,
-                print_module(result.module),
-                result.pass_stats,
-                result.timings,
-            )
+                return cached_result(cached, scheme)
+        result = protect_variant(entry.prepared, config)
+        if disk_key is not None:
+            store_result(self._disk, disk_key, result)
         return result
 
     def printed_module(

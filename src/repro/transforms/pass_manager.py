@@ -8,8 +8,8 @@ verified it, see below) and the final module after the whole pipeline.
 debugging which pass corrupted the IR; the test suite exercises both.
 
 ``verify_input`` controls the verify of the *incoming* module: callers
-that just verified it themselves -- ``protect()`` verifies right before
-building its pipeline -- pass ``False`` so the same untouched module is
+that just verified it themselves -- ``prepare()`` verifies right before
+``instrument()`` builds its pipeline -- pass ``False`` so the same untouched module is
 not verified twice in a row.
 
 ``run`` records wall time per pass in :attr:`timings` (verification

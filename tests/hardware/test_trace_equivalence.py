@@ -18,7 +18,7 @@ import pytest
 from repro.attacks import build_scenarios
 from repro.core import SCHEMES, protect
 from repro.hardware import CPU, trace_compile
-from repro.hardware.errors import StepLimitExceeded
+from repro.hardware.errors import StepLimitExceeded, UnknownInterpreterError
 from repro.observability import ExecutionProfiler
 from repro.perf.regions import profile_digest
 from repro.workloads import generate_program, get_profile
@@ -241,11 +241,10 @@ def test_trace_interpreter_recorded_in_result(listing1_module):
     assert result.interpreter == "trace"
 
 
-def test_block_is_an_alias_of_trace(listing1_module, monkeypatch):
-    module = listing1_module.clone()
-    expected = CPU(module, seed=2024, interpreter="trace").run()
-    aliased = CPU(module, seed=2024, interpreter="block")
-    assert aliased.interpreter == "trace"
-    assert_same(expected, aliased.run(), "interpreter='block'")
+def test_block_interpreter_is_rejected(listing1_module, monkeypatch):
+    # the retired block tier is an unknown name like any other
+    with pytest.raises(UnknownInterpreterError, match="'block'"):
+        CPU(listing1_module, interpreter="block")
     monkeypatch.setenv("REPRO_INTERPRETER", "block")
-    assert_same(expected, CPU(module, seed=2024).run(), "REPRO_INTERPRETER=block")
+    with pytest.raises(UnknownInterpreterError, match="'block'"):
+        CPU(listing1_module)

@@ -427,14 +427,11 @@ class TestProfileCommand:
         assert "hot functions (by self cycles):" in out
         assert "hot blocks" not in out
 
-    def test_block_interpreter_is_an_alias_of_trace(self, victim_path, capsys):
-        code, out, _ = run_cli(
-            ["profile", victim_path, "--input", "x", "--interpreter", "block"],
-            capsys,
-        )
-        assert code == 0
-        assert "run: status=ok interpreter=trace" in out
-        assert "hot blocks (by cycles):" in out
+    def test_block_interpreter_is_rejected(self, victim_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", victim_path, "--input", "x", "--interpreter", "block"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'block'" in capsys.readouterr().err
 
 
 class TestProfileGuidedTrace:

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.framework import protect
+from repro.core import SCHEMES, DefenseConfig
+from repro.core.framework import protect, protect_all
 from repro.frontend import compile_source
 from repro.hardware.cpu import CPU
 from repro.ir.printer import print_module
 from repro.ir.verifier import verify_module
 from repro.serve.registry import WarmRegistry, source_digest
 from repro.transforms.mem2reg import Mem2Reg
+from repro.workloads import generate_program, get_profile
 
 SOURCE = """
 int main() {
@@ -52,13 +54,13 @@ def test_second_scheme_reuses_prepared_module_and_analysis():
     registry = WarmRegistry(capacity=4)
     registry.protection(SOURCE, scheme="pythia")
     assert registry.stats.module_misses == 1
-    first_report = registry._entries[source_digest(SOURCE)].report
+    first_report = registry._entries[source_digest(SOURCE)].prepared.report
     assert first_report is not None
     registry.protection(SOURCE, scheme="dfi")
     # same module entry, same shared report object: no re-prepare, no re-analysis
     assert registry.stats.module_misses == 1
     assert registry.stats.module_hits == 1
-    assert registry._entries[source_digest(SOURCE)].report is first_report
+    assert registry._entries[source_digest(SOURCE)].prepared.report is first_report
     # but each scheme is its own protection variant
     assert registry.stats.protection_misses == 2
 
@@ -127,3 +129,62 @@ def test_corrupt_disk_entry_recompiles_silently(tmp_path):
     _, second_text, _, _ = second.printed_module(SOURCE, "module", "pythia")
     assert second_text == first_text  # recompiled, not trusted
     assert second._disk.stats.corrupt == 1
+
+
+#: Generator profiles the registry is checked against: two SPEC shapes
+#: and nginx (live heap traffic), all with structs for field canaries.
+PROFILES = ("531.deepsjeng_r", "541.leela_r", "nginx")
+
+#: Every (scheme, protect_fields) variant a serve request can ask for.
+VARIANTS = [(scheme, False) for scheme in SCHEMES] + [("pythia", True)]
+
+
+def _printed(result):
+    return print_module(result.module), result.pass_stats
+
+
+@pytest.fixture(scope="module", params=PROFILES)
+def profile_oracle(request):
+    """(source, name, {variant: (printed, pass_stats)}) via protect()."""
+    program = generate_program(get_profile(request.param))
+    expected = {
+        (scheme, fields): _printed(
+            protect(
+                program.compile(),
+                config=DefenseConfig(scheme=scheme, protect_fields=fields),
+            )
+        )
+        for scheme, fields in VARIANTS
+    }
+    # the fields variant really guards structs here
+    assert expected[("pythia", True)] != expected[("pythia", False)]
+    # protect_all is the same pipeline for the default configs
+    for scheme, result in protect_all(program.compile()).items():
+        assert _printed(result) == expected[(scheme, False)], scheme
+    return program.source, request.param, expected
+
+
+def test_registry_variants_match_protect_on_generated_profiles(profile_oracle):
+    source, name, expected = profile_oracle
+    registry = WarmRegistry(capacity=4)
+    for scheme, fields in VARIANTS:
+        result, warm = registry.protection(source, name, scheme, fields)
+        assert not warm
+        assert _printed(result) == expected[(scheme, fields)], (scheme, fields)
+
+
+def test_disk_cached_variants_match_protect_on_generated_profiles(
+    profile_oracle, tmp_path
+):
+    source, name, expected = profile_oracle
+    cache_dir = str(tmp_path / "cache")
+    first = WarmRegistry(capacity=4, cache_dir=cache_dir)
+    for scheme, fields in VARIANTS:
+        first.protection(source, name, scheme, fields)
+    assert first._disk.stats.stores == len(VARIANTS)
+
+    second = WarmRegistry(capacity=4, cache_dir=cache_dir)
+    for scheme, fields in VARIANTS:
+        result, _ = second.protection(source, name, scheme, fields)
+        assert _printed(result) == expected[(scheme, fields)], (scheme, fields)
+    assert second._disk.stats.hits == len(VARIANTS)

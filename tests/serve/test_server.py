@@ -73,17 +73,13 @@ def test_run_executes_and_reports_architecture(live):
     assert result["interpreter"] == "trace"
 
 
-def test_block_interpreter_is_an_alias_of_trace(live):
-    trace = live.request(
-        "run", source=TINY_SOURCE, scheme="pythia", interpreter="trace"
-    )
-    block = live.request(
+def test_block_interpreter_is_rejected(live):
+    response = live.request(
         "run", source=TINY_SOURCE, scheme="pythia", interpreter="block"
     )
-    assert block["status"] == "ok"
-    assert block["result"]["interpreter"] == "trace"
-    for field in ("output", "cycles", "steps", "return_value"):
-        assert block["result"][field] == trace["result"][field], field
+    assert response["status"] == "error"
+    assert response["code"] == 2
+    assert response["error"]["type"] == "UnknownInterpreterError"
 
 
 def test_warm_compile_is_byte_identical_to_cold(live):
