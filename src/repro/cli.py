@@ -1,33 +1,13 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Subcommands:
-
-``compile``   MiniC source -> textual IR (optionally post-mem2reg)
-``run``       compile, protect, and execute a program
-``analyze``   print the vulnerability analysis of a program
-``attack``    replay a built-in attack scenario under every scheme
-``bench``     run one generated benchmark under every scheme
-``suite``     measure many benchmarks, optionally across worker processes
-``chaos``     inject a fault plan and assert the defense contract
-``campaign``  fuzz attack families, emit the defense-coverage matrix
-``profile``   execute a program under the profiler, print hot spots
-``scenarios`` list the built-in attack scenarios / campaign families
-``serve``     persistent compile-and-execute daemon over a local socket
-``loadgen``   fire a seeded request mix at a running serve daemon
-``top``       live terminal dashboard over a running serve daemon
-``audit``     offline security summary of a repro-events-v1 file
-
-``run``, ``bench``, ``suite``, ``chaos``, and ``campaign`` accept ``--trace-out FILE``
-(a Chrome-trace / Perfetto JSON of the command's spans),
-``--metrics-out FILE`` (the ``repro-metrics-v1`` counters snapshot),
-and ``--events-out FILE`` (the ``repro-events-v1`` security-event
-JSON-lines log); ``serve`` accepts all three plus ``--slo FILE``, and
-``loadgen --events-out`` pulls the daemon's ring over the ``events``
-op.  See :mod:`repro.observability`.
-
-``run --profile-out`` / ``profile --profile-out`` save an execution
-profile whose per-block counts ``run``/``bench`` ``--profile-in`` feed
-back into trace-tier region selection (``--interpreter trace``).
+Each subcommand is one ``cmd_*`` function, registered with its
+one-line description in :func:`build_parser` (``python -m repro
+--help`` lists them all).  An option several subcommands share --
+``--seed``, ``--interpreter``, the serve daemon's endpoint, the
+``--trace-out``/``--metrics-out``/``--events-out`` exports of
+:mod:`repro.observability`, the ``--profile-out`` report that
+``--profile-in`` feeds back into trace-tier region selection -- is
+declared once, in an ``_add_*`` helper next to the parser.
 
 Failures exit with a one-line ``repro: error:`` diagnostic and a
 distinct code per failure layer (see :data:`EXIT_CODES`) -- never a
@@ -89,6 +69,9 @@ EXIT_CODES = {
 #: MiniC front-end failures: invalid *input*, not framework bugs.
 _FRONTEND_ERRORS = (LexError, CParseError, SemaError, CodegenError)
 
+#: Where ``serve`` listens and its clients connect without ``--socket``.
+DEFAULT_SOCKET = ".repro-serve.sock"
+
 
 def _read_source(path: str) -> str:
     if path == "-":
@@ -101,8 +84,13 @@ def _parse_inputs(items: Optional[List[str]]) -> List[bytes]:
     return [item.encode("utf-8") for item in (items or [])]
 
 
-def _load_trace_profile(path: str) -> dict:
-    """Read a ``--profile-out`` report back as trace-tier block counts."""
+def _load_trace_profile(path: Optional[str]) -> Optional[dict]:
+    """Read a ``--profile-out`` report back as trace-tier block counts.
+
+    ``None`` (no ``--profile-in``) reads nothing and returns ``None``.
+    """
+    if path is None:
+        return None
     import json
 
     from .observability.profile import PROFILE_SCHEMA, hot_block_counts
@@ -122,12 +110,42 @@ def _load_trace_profile(path: str) -> dict:
     return counts
 
 
-def _write_profile_report(path: str, report: dict) -> None:
+def _write_json(path: str, data, what: str, file=None) -> None:
+    """Write ``data`` as sorted, indented JSON and say so on ``file``."""
     import json
 
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-    print(f"profile written to {path}", file=sys.stderr)
+        json.dump(data, handle, indent=2, sort_keys=True)
+    print(f"{what} written to {path}", file=file)
+
+
+def _print_triage(triage) -> None:
+    """The crash buckets of a chaos or campaign run, if it had any."""
+    if triage.total_crashes:
+        print("triage buckets (uncaught exceptions -- framework bugs):")
+        for line in triage.summary_lines():
+            print(f"  {line}")
+
+
+def _endpoint(args: argparse.Namespace) -> dict:
+    """The ``socket_path``/``port`` pair of ``--socket``/``--port``."""
+    if args.port is not None:
+        return {"socket_path": None, "port": args.port}
+    return {"socket_path": args.socket or DEFAULT_SOCKET, "port": None}
+
+
+def _daemon_result(args: argparse.Namespace, op: str) -> dict:
+    """Send one ``op`` request to the daemon; its result on success."""
+    from .serve.client import ServeClient, ServeClientError
+
+    client = ServeClient(**_endpoint(args))
+    try:
+        response = client.request(op)
+    finally:
+        client.close()
+    if response.get("status") != "ok":
+        raise ServeClientError(f"{op} op failed: {response.get('error')}")
+    return response["result"]
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -161,9 +179,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         for phase, seconds in sorted(phases.items(), key=lambda item: -item[1]):
             print(f"[timing] {phase:24s} {seconds * 1e3:8.2f}ms", file=sys.stderr)
         print(f"[timing] {'total':24s} {total * 1e3:8.2f}ms", file=sys.stderr)
-    trace_profile = (
-        _load_trace_profile(args.profile_in) if args.profile_in else None
-    )
+    trace_profile = _load_trace_profile(args.profile_in)
     profiler = None
     if args.profile_out:
         from .observability.profile import ExecutionProfiler
@@ -189,7 +205,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             op="run",
         )
     if profiler is not None:
-        _write_profile_report(args.profile_out, profiler.report(result))
+        _write_json(args.profile_out, profiler.report(result), "profile", sys.stderr)
     sys.stdout.write(result.output.decode("utf-8", "replace"))
     print(
         f"[{args.scheme}] status={result.status} return={result.return_value} "
@@ -246,36 +262,30 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .metrics.overhead import measure_module
     from .workloads.generator import generate_program
 
     program = generate_program(get_profile(args.benchmark))
     module = program.compile()
-    trace_profile = (
-        _load_trace_profile(args.profile_in) if args.profile_in else None
-    )
-    base = None
+    trace_profile = _load_trace_profile(args.profile_in)
     print(f"{args.benchmark}: {module.instruction_count()} IR instructions")
-    for scheme, protected in protect_all(module, consume=True).items():
-        with current_tracer().span(f"execute:{scheme}", "exec", benchmark=args.benchmark):
-            result = CPU(
-                protected.module,
-                seed=args.seed,
-                interpreter=args.interpreter,
-                trace_profile=trace_profile,
-            ).run(inputs=list(program.inputs))
-        publish_execution(get_metrics(), result, scheme=scheme)
-        if not result.ok:
-            print(f"  {scheme:8s} FAILED: {result.status}")
-            return 2
-        if scheme == "vanilla":
-            base = result.cycles
-            print(f"  {scheme:8s} cycles={result.cycles:10.0f}")
-        else:
-            overhead = 100 * (result.cycles / base - 1)
-            print(
-                f"  {scheme:8s} cycles={result.cycles:10.0f} "
-                f"overhead={overhead:6.1f}% pa={result.pa_dynamic}"
-            )
+    try:
+        measurement = measure_module(
+            module,
+            name=args.benchmark,
+            inputs=program.inputs,
+            seed=args.seed,
+            interpreter=args.interpreter,
+            trace_profile=trace_profile,
+        )
+    except RuntimeError as exc:  # a scheme's benign run failed
+        return _fail(exc, 2)
+    for scheme, run in measurement.runs.items():
+        line = f"  {scheme:8s} cycles={run.execution.cycles:10.0f}"
+        if scheme != "vanilla":
+            overhead = 100 * measurement.runtime_overhead(scheme)
+            line += f" overhead={overhead:6.1f}% pa={run.execution.pa_dynamic}"
+        print(line)
     return 0
 
 
@@ -290,10 +300,9 @@ def cmd_suite(args: argparse.Namespace) -> int:
         if name not in known:
             print(f"unknown benchmark {name!r}; try: {', '.join(known)}")
             return 1
-    names = args.benchmark or None
     cache_dir = None if args.no_cache else args.cache_dir
     result = run_suite(
-        names=names,
+        names=args.benchmark or None,
         seed=args.seed,
         jobs=args.jobs,
         interpreter=args.interpreter,
@@ -323,11 +332,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
             f"{result.cache_hits} hits, {result.cache_misses} misses"
         )
     if args.manifest:
-        import json
-
-        with open(args.manifest, "w", encoding="utf-8") as handle:
-            json.dump(result.failure_manifest(), handle, indent=2, sort_keys=True)
-        print(f"failure manifest written to {args.manifest}")
+        _write_json(args.manifest, result.failure_manifest(), "failure manifest")
     if result.failures:
         for name in result.quarantined:
             failure = result.failures[name]
@@ -341,8 +346,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    import json
-
     from .robustness import FaultPlan, smoke_plan
     from .robustness.chaos import run_chaos
 
@@ -371,15 +374,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     )
     for line in report.summary_lines():
         print(line)
-    triage = report.triage
-    if triage.total_crashes:
-        print("triage buckets (uncaught exceptions -- framework bugs):")
-        for line in triage.summary_lines():
-            print(f"  {line}")
+    _print_triage(report.triage)
     if args.manifest:
-        with open(args.manifest, "w", encoding="utf-8") as handle:
-            json.dump(report.to_manifest(), handle, indent=2, sort_keys=True)
-        print(f"chaos manifest written to {args.manifest}")
+        _write_json(args.manifest, report.to_manifest(), "chaos manifest")
     violations = report.contract_violations()
     if violations:
         print(f"FAIL: {len(violations)} defense-contract violation(s)")
@@ -391,7 +388,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    from .attacks.scenarios import build_scenarios
     from .robustness.campaign import (
         run_campaign,
         write_manifest,
@@ -401,16 +397,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     families = None
     if args.families:
         families = [name.strip() for name in args.families.split(",") if name.strip()]
-        known = build_scenarios()
-        for name in families:
-            if name not in known:
-                return _fail(
-                    ValueError(
-                        f"unknown attack family {name!r}; "
-                        f"try: {', '.join(sorted(known))}"
-                    ),
-                    2,
-                )
+    # An unknown family or a budget below 1 raises a ReproError (exit 2).
     with current_tracer().span("campaign", "campaign", seed=args.seed):
         report = run_campaign(
             seed=args.seed,
@@ -439,11 +426,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 else ""
             )
             print(f"  {bucket}: {len(records)} mutant(s){shrink}")
-    triage = report.triage
-    if triage.total_crashes:
-        print("triage buckets (uncaught exceptions -- framework bugs):")
-        for line in triage.summary_lines():
-            print(f"  {line}")
+    _print_triage(report.triage)
     if args.matrix_out:
         write_matrix(report, args.matrix_out)
         print(f"coverage matrix written to {args.matrix_out}")
@@ -454,7 +437,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if violations or report.crashes:
         print(
             f"FAIL: {len(violations)} contract violation(s), "
-            f"{triage.total_crashes} crash(es)"
+            f"{report.triage.total_crashes} crash(es)"
         )
         for violation in violations:
             print(
@@ -484,7 +467,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     for line in format_report(report):
         print(line)
     if args.profile_out:
-        _write_profile_report(args.profile_out, report)
+        _write_json(args.profile_out, report, "profile", sys.stderr)
     return 0 if result.ok else 2
 
 
@@ -520,14 +503,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     server = ReproServer(
         pool,
-        socket_path=None if args.port is not None else (args.socket or ".repro-serve.sock"),
-        port=args.port,
+        **_endpoint(args),
         drain_timeout=args.drain_timeout,
         slo_policy=slo_policy,
     )
-
-    async def _serve() -> None:
-        await server.serve_until_stopped()
 
     # Fork the workers before any event loop exists, so no loop or
     # executor-thread state is duplicated into them.
@@ -540,7 +519,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
             flush=True,
         )
-        asyncio.run(_serve())
+        asyncio.run(server.serve_until_stopped())
     finally:
         pool.stop()
     print(
@@ -570,41 +549,19 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     report = run_load(
         requests,
         concurrency=args.concurrency,
-        socket_path=None if args.port is not None else (args.socket or ".repro-serve.sock"),
-        port=args.port,
+        **_endpoint(args),
         duration_s=args.duration,
         connect_deadline_s=args.connect_wait,
     )
     for line in report.summary_lines():
         print(line)
     if args.report_out:
-        import json
-
-        with open(args.report_out, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        print(f"load report written to {args.report_out}", file=sys.stderr)
+        _write_json(args.report_out, report.to_dict(), "load report", sys.stderr)
     if args.events_out:
         # The daemon owns the ring; pull it over the events op and
         # adopt it locally, so the shared --events-out exporter writes
         # a file carrying every worker-side trap this load drew.
-        from .serve.client import ServeClient
-
-        client = ServeClient(
-            socket_path=None
-            if args.port is not None
-            else (args.socket or ".repro-serve.sock"),
-            port=args.port,
-        )
-        try:
-            response = client.request("events")
-        finally:
-            client.close()
-        if response.get("status") != "ok":
-            return _fail(
-                ValueError(f"events op failed: {response.get('error')}"),
-                EXIT_CODES["io"],
-            )
-        get_event_log().adopt(response["result"]["events"])
+        get_event_log().adopt(_daemon_result(args, "events")["events"])
     failed = False
     if report.failures:
         print(f"FAIL: {report.failures} request(s) failed", file=sys.stderr)
@@ -623,28 +580,12 @@ def cmd_top(args: argparse.Namespace) -> int:
     import time as time_module
 
     from .observability.aggregate import render_dashboard
-    from .serve.client import ServeClient
 
     frames = 0
     try:
         while True:
-            client = ServeClient(
-                socket_path=None
-                if args.port is not None
-                else (args.socket or ".repro-serve.sock"),
-                port=args.port,
-            )
-            try:
-                response = client.request("stats")
-            finally:
-                client.close()
-            if response.get("status") != "ok":
-                return _fail(
-                    ValueError(f"stats op failed: {response.get('error')}"),
-                    EXIT_CODES["io"],
-                )
+            lines = render_dashboard(_daemon_result(args, "stats"))
             frames += 1
-            lines = render_dashboard(response["result"])
             if not args.once and sys.stdout.isatty():
                 sys.stdout.write("\x1b[2J\x1b[H")
             print("\n".join(lines), flush=True)
@@ -666,11 +607,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     for line in render_audit(report, path=args.events):
         print(line)
     if args.json_out:
-        import json
-
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"audit report written to {args.json_out}", file=sys.stderr)
+        _write_json(args.json_out, report, "audit report", sys.stderr)
     return 0
 
 
@@ -696,24 +633,111 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
 
 
 # -- parser ---------------------------------------------------------------
+#
+# Every option more than one subcommand takes is declared once, in an
+# ``_add_*`` helper; where its help text or default really differs by
+# subcommand, the helper takes it as an argument.  Subcommands call the
+# helpers in the order their options list in ``--help``.
+
+#: ``--interpreter`` help wherever the decoded tier is the default.
+_DECODED_DEFAULT = "CPU backend (default: pre-decoded dispatch)"
+
+
+def _command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func)
+    return p
+
+
+def _add_source_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("source", help="path to MiniC source, or - for stdin")
+    p.add_argument("--name", default="module")
+
+
+def _add_seed_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=2024)
+
+
+def _add_interpreter_arg(
+    p: argparse.ArgumentParser,
+    help: str = _DECODED_DEFAULT,
+    default: Optional[str] = None,
+) -> None:
+    p.add_argument("--interpreter", choices=INTERPRETERS, default=default, help=help)
+
+
+def _add_program_args(
+    p: argparse.ArgumentParser,
+    interpreter_help: str = _DECODED_DEFAULT,
+    fields: bool = False,
+) -> None:
+    """A MiniC program to protect and execute: ``run`` and ``profile``."""
+    _add_source_args(p)
+    p.add_argument("--scheme", choices=SCHEMES, default="pythia")
+    if fields:
+        p.add_argument("--fields", action="store_true", help="§6.4 field canaries")
+    _add_seed_arg(p)
+    p.add_argument(
+        "--input", action="append", help="queue a benign input line (repeatable)"
+    )
+    _add_interpreter_arg(p, interpreter_help)
+
+
+def _add_profile_in_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--profile-in",
+        metavar="FILE",
+        help="feed a saved --profile-out report to trace-tier region "
+        "selection (only the trace interpreter consumes it)",
+    )
+
+
+def _add_manifest_arg(p: argparse.ArgumentParser, manifest: str) -> None:
+    p.add_argument("--manifest", metavar="FILE", help=f"write the {manifest} as JSON")
+
+
+def _add_cache_args(p: argparse.ArgumentParser, what: str) -> None:
+    p.add_argument(
+        "--cache-dir",
+        default=".repro-cache",
+        help=f"{what} (default: .repro-cache)",
+    )
+    p.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="disable the on-disk compilation cache",
+    )
+
+
+def _add_endpoint_args(p: argparse.ArgumentParser) -> None:
+    """The daemon's address: ``serve`` listens there, clients connect."""
+    p.add_argument(
+        "--socket",
+        default=None,
+        metavar="PATH",
+        help=f"the daemon's Unix-domain socket (default: {DEFAULT_SOCKET})",
+    )
+    p.add_argument(
+        "--port",
+        type=int,
+        default=None,
+        help="use loopback TCP on this port instead of a Unix socket",
+    )
 
 
 def _add_observability_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--trace-out",
-        default=None,
         metavar="FILE",
         help="write a Chrome-trace / Perfetto JSON of this command's spans",
     )
     p.add_argument(
         "--metrics-out",
-        default=None,
         metavar="FILE",
         help="write the repro-metrics-v1 counters snapshot as JSON",
     )
     p.add_argument(
         "--events-out",
-        default=None,
         metavar="FILE",
         help="write the repro-events-v1 security-event log as JSON lines",
     )
@@ -726,27 +750,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compile", help="MiniC source to textual IR")
-    p.add_argument("source", help="path to MiniC source, or - for stdin")
-    p.add_argument("--name", default="module")
+    p = _command(sub, "compile", cmd_compile, "MiniC source to textual IR")
+    _add_source_args(p)
     p.add_argument("--mem2reg", action="store_true", help="promote to SSA first")
-    p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("run", help="compile, protect, and execute")
-    p.add_argument("source")
-    p.add_argument("--name", default="module")
-    p.add_argument("--scheme", choices=SCHEMES, default="pythia")
-    p.add_argument("--fields", action="store_true", help="§6.4 field canaries")
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument(
-        "--input", action="append", help="queue a benign input line (repeatable)"
-    )
-    p.add_argument(
-        "--interpreter",
-        choices=INTERPRETERS,
-        default=None,
-        help="CPU backend (default: pre-decoded dispatch)",
-    )
+    p = _command(sub, "run", cmd_run, "compile, protect, and execute")
+    _add_program_args(p, fields=True)
     p.add_argument(
         "--timings",
         action="store_true",
@@ -754,52 +763,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--profile-out",
-        default=None,
         metavar="FILE",
         help="run under the execution profiler and write its report "
         "(per-block counts need --interpreter trace)",
     )
-    p.add_argument(
-        "--profile-in",
-        default=None,
-        metavar="FILE",
-        help="feed a saved --profile-out report to trace-tier region "
-        "selection (only the trace interpreter consumes it)",
-    )
+    _add_profile_in_arg(p)
     _add_observability_args(p)
-    p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("analyze", help="print the vulnerability analysis")
-    p.add_argument("source")
-    p.add_argument("--name", default="module")
+    p = _command(sub, "analyze", cmd_analyze, "print the vulnerability analysis")
+    _add_source_args(p)
     p.add_argument("--verbose", action="store_true")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("attack", help="replay a scenario under every scheme")
+    p = _command(sub, "attack", cmd_attack, "replay a scenario under every scheme")
     p.add_argument("scenario")
-    p.set_defaults(func=cmd_attack)
 
-    p = sub.add_parser("bench", help="run one generated benchmark")
+    p = _command(sub, "bench", cmd_bench, "run one generated benchmark")
     p.add_argument("benchmark", choices=profile_names(), metavar="BENCHMARK")
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument(
-        "--interpreter",
-        choices=INTERPRETERS,
-        default=None,
-        help="CPU backend (default: pre-decoded dispatch)",
-    )
-    p.add_argument(
-        "--profile-in",
-        default=None,
-        metavar="FILE",
-        help="feed a saved --profile-out report to trace-tier region "
-        "selection (only the trace interpreter consumes it)",
-    )
+    _add_seed_arg(p)
+    _add_interpreter_arg(p)
+    _add_profile_in_arg(p)
     _add_observability_args(p)
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser(
-        "suite", help="measure benchmarks under every scheme, optionally in parallel"
+    p = _command(
+        sub,
+        "suite",
+        cmd_suite,
+        "measure benchmarks under every scheme, optionally in parallel",
     )
     p.add_argument(
         "benchmark",
@@ -807,29 +796,15 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BENCHMARK",
         help="benchmarks to measure (default: all profiles)",
     )
-    p.add_argument("--seed", type=int, default=2024)
+    _add_seed_arg(p)
     p.add_argument(
         "--jobs",
         type=int,
         default=1,
         help="worker processes for the fan-out (default: 1, serial)",
     )
-    p.add_argument(
-        "--interpreter",
-        choices=INTERPRETERS,
-        default=None,
-        help="CPU backend (default: pre-decoded dispatch)",
-    )
-    p.add_argument(
-        "--cache-dir",
-        default=".repro-cache",
-        help="compilation cache directory (default: .repro-cache)",
-    )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the compilation cache",
-    )
+    _add_interpreter_arg(p)
+    _add_cache_args(p, "compilation cache directory")
     p.add_argument(
         "--timeout",
         type=float,
@@ -848,21 +823,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="quarantine failing benchmarks and report the rest "
         "instead of aborting the suite",
     )
-    p.add_argument(
-        "--manifest",
-        default=None,
-        metavar="FILE",
-        help="write the completion/quarantine manifest as JSON",
-    )
+    _add_manifest_arg(p, "completion/quarantine manifest")
     _add_observability_args(p)
-    p.set_defaults(func=cmd_suite)
 
-    p = sub.add_parser(
-        "chaos", help="inject a fault plan and assert the defense contract"
+    p = _command(
+        sub, "chaos", cmd_chaos, "inject a fault plan and assert the defense contract"
     )
     p.add_argument(
         "--plan",
-        default=None,
         metavar="FILE",
         help="fault plan JSON (default: the built-in one-of-every-kind "
         "smoke plan at --seed)",
@@ -875,28 +843,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload to run under faults (default: nginx, the "
         "profile with live heap traffic)",
     )
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument(
-        "--interpreter",
-        choices=INTERPRETERS,
-        default=None,
-        help="CPU backend (default: pre-decoded dispatch)",
-    )
-    p.add_argument(
-        "--manifest",
-        default=None,
-        metavar="FILE",
-        help="write the full chaos manifest (cases, violations, triage) as JSON",
-    )
+    _add_seed_arg(p)
+    _add_interpreter_arg(p)
+    _add_manifest_arg(p, "full chaos manifest (cases, violations, triage)")
     _add_observability_args(p)
-    p.set_defaults(func=cmd_chaos)
 
-    p = sub.add_parser(
+    p = _command(
+        sub,
         "campaign",
-        help="fuzz attack families over every scheme and emit the "
+        cmd_campaign,
+        "fuzz attack families over every scheme and emit the "
         "defense-coverage matrix",
     )
-    p.add_argument("--seed", type=int, default=2024)
+    _add_seed_arg(p)
     p.add_argument(
         "--budget",
         type=int,
@@ -912,41 +871,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--matrix-out",
-        default=None,
         metavar="FILE",
         help="write the scheme x family coverage matrix as JSON",
     )
-    p.add_argument(
-        "--manifest",
-        default=None,
-        metavar="FILE",
-        help="write the full campaign manifest (runs, minimized "
-        "bypasses, triage) as JSON",
-    )
+    _add_manifest_arg(p, "full campaign manifest (runs, minimized bypasses, triage)")
     p.add_argument(
         "--no-reduce",
         action="store_true",
         help="skip ddmin minimization of bypass exemplars",
     )
     _add_observability_args(p)
-    p.set_defaults(func=cmd_campaign)
 
-    p = sub.add_parser(
-        "profile", help="execute under the profiler and print hot spots"
+    p = _command(
+        sub, "profile", cmd_profile, "execute under the profiler and print hot spots"
     )
-    p.add_argument("source")
-    p.add_argument("--name", default="module")
-    p.add_argument("--scheme", choices=SCHEMES, default="pythia")
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument(
-        "--input", action="append", help="queue a benign input line (repeatable)"
-    )
-    p.add_argument(
-        "--interpreter",
-        choices=INTERPRETERS,
-        default=None,
-        help="CPU backend (default: trace, with per-block attribution)",
-    )
+    _add_program_args(p, "CPU backend (default: trace, with per-block attribution)")
     p.add_argument(
         "--top",
         type=int,
@@ -955,31 +894,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--profile-out",
-        default=None,
         metavar="FILE",
         help="also write the report as JSON (feeds run/bench --profile-in)",
     )
-    p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser("scenarios", help="list the built-in attack scenarios")
-    p.set_defaults(func=cmd_scenarios)
+    _command(sub, "scenarios", cmd_scenarios, "list the built-in attack scenarios")
 
-    p = sub.add_parser(
+    p = _command(
+        sub,
         "serve",
-        help="persistent compile-and-execute daemon over a local socket",
+        cmd_serve,
+        "persistent compile-and-execute daemon over a local socket",
     )
-    p.add_argument(
-        "--socket",
-        default=None,
-        metavar="PATH",
-        help="Unix-domain socket path (default: .repro-serve.sock)",
-    )
-    p.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="listen on loopback TCP instead of a Unix socket",
-    )
+    _add_endpoint_args(p)
     p.add_argument(
         "--workers",
         type=int,
@@ -1008,16 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="warm-registry capacity per worker, in distinct modules "
         "(default: 32)",
     )
-    p.add_argument(
-        "--cache-dir",
-        default=".repro-cache",
-        help="shared on-disk compilation cache (default: .repro-cache)",
-    )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk compilation cache",
-    )
+    _add_cache_args(p, "shared on-disk compilation cache")
     p.add_argument(
         "--debug-ops",
         action="store_true",
@@ -1026,30 +944,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--slo",
-        default=None,
         metavar="FILE",
         help="SLO policy JSON; enables the background burn-rate "
         "evaluator (emits slo-breach events)",
     )
     _add_observability_args(p)
-    p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser(
+    p = _command(
+        sub,
         "loadgen",
-        help="fire a seeded nginx-style request mix at a serve daemon",
+        cmd_loadgen,
+        "fire a seeded nginx-style request mix at a serve daemon",
     )
-    p.add_argument(
-        "--socket",
-        default=None,
-        metavar="PATH",
-        help="daemon socket path (default: .repro-serve.sock)",
-    )
-    p.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="connect over loopback TCP instead of a Unix socket",
-    )
+    _add_endpoint_args(p)
     p.add_argument(
         "--requests",
         type=int,
@@ -1087,13 +994,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("3s", "30s", "300s"),
         help="nginx workload size per request (default: 3s)",
     )
-    p.add_argument(
-        "--interpreter",
-        choices=INTERPRETERS,
-        default="trace",
-        help="interpreter requested for run/profile ops (default: trace)",
+    _add_interpreter_arg(
+        p, "interpreter requested for run/profile ops (default: trace)", "trace"
     )
-    p.add_argument("--seed", type=int, default=2024)
+    _add_seed_arg(p)
     p.add_argument(
         "--connect-wait",
         type=float,
@@ -1108,35 +1012,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--report-out",
-        default=None,
         metavar="FILE",
         help="write the latency/throughput report as JSON",
     )
     p.add_argument(
         "--events-out",
-        default=None,
         metavar="FILE",
         help="pull the daemon's security-event ring (events op) and "
         "write it as repro-events-v1 JSON lines",
     )
-    p.set_defaults(func=cmd_loadgen)
 
-    p = sub.add_parser(
-        "top",
-        help="live terminal dashboard over a running serve daemon",
+    p = _command(
+        sub, "top", cmd_top, "live terminal dashboard over a running serve daemon"
     )
-    p.add_argument(
-        "--socket",
-        default=None,
-        metavar="PATH",
-        help="daemon socket path (default: .repro-serve.sock)",
-    )
-    p.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="connect over loopback TCP instead of a Unix socket",
-    )
+    _add_endpoint_args(p)
     p.add_argument(
         "--interval",
         type=float,
@@ -1154,20 +1043,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print one snapshot and exit (no screen clearing)",
     )
-    p.set_defaults(func=cmd_top)
 
-    p = sub.add_parser(
-        "audit",
-        help="offline security summary of a repro-events-v1 file",
+    p = _command(
+        sub, "audit", cmd_audit, "offline security summary of a repro-events-v1 file"
     )
     p.add_argument("events", help="path to an --events-out JSON-lines file")
     p.add_argument(
-        "--json-out",
-        default=None,
-        metavar="FILE",
-        help="also write the full audit digest as JSON",
+        "--json-out", metavar="FILE", help="also write the full audit digest as JSON"
     )
-    p.set_defaults(func=cmd_audit)
 
     return parser
 
@@ -1192,22 +1075,20 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _fail(exc, EXIT_CODES["verify"])
     except ReproError as exc:
         return _fail(exc, exc.exit_code)
-    except FileNotFoundError as exc:
-        return _fail(exc, EXIT_CODES["io"])
     except OSError as exc:
         return _fail(exc, EXIT_CODES["io"])
 
 
-def _export_observability(
-    trace_out: Optional[str],
-    metrics_out: Optional[str],
-    events_out: Optional[str] = None,
-) -> int:
+def _export_observability(args: argparse.Namespace) -> int:
     """Write ``--trace-out``/``--metrics-out``/``--events-out``; 0 on success.
 
     Runs even when the command itself failed, so a crashing suite still
     leaves its partial trace, counters, and events behind for triage.
+    A subcommand without one of the flags exports nothing for it.
     """
+    trace_out = getattr(args, "trace_out", None)
+    metrics_out = getattr(args, "metrics_out", None)
+    events_out = getattr(args, "events_out", None)
     try:
         if trace_out:
             write_trace(trace_out, current_tracer().events)
@@ -1217,9 +1098,7 @@ def _export_observability(
             print(f"metrics written to {metrics_out}", file=sys.stderr)
         if events_out:
             count = write_events(events_out, get_event_log().snapshot())
-            print(
-                f"{count} event(s) written to {events_out}", file=sys.stderr
-            )
+            print(f"{count} event(s) written to {events_out}", file=sys.stderr)
     except OSError as exc:
         return _fail(exc, EXIT_CODES["io"])
     return 0
@@ -1227,16 +1106,13 @@ def _export_observability(
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    trace_out = getattr(args, "trace_out", None)
-    metrics_out = getattr(args, "metrics_out", None)
-    events_out = getattr(args, "events_out", None)
     reset_metrics()
     reset_event_log()
-    if trace_out:
+    if getattr(args, "trace_out", None):
         enable_tracing()
     try:
         code = _dispatch(args)
-        export_code = _export_observability(trace_out, metrics_out, events_out)
+        export_code = _export_observability(args)
         return code if code != 0 else export_code
     finally:
         disable_tracing()

@@ -7,6 +7,14 @@ from dataclasses import dataclass
 #: The defense schemes the framework can apply.
 SCHEMES = ("vanilla", "cpa", "pythia", "dfi")
 
+#: The :class:`DefenseConfig` switches only the ``pythia`` scheme reads.
+PYTHIA_SWITCHES = (
+    "protect_stack",
+    "protect_heap",
+    "protect_fields",
+    "rerandomize_canaries",
+)
+
 
 @dataclass
 class DefenseConfig:
@@ -24,6 +32,12 @@ class DefenseConfig:
     ``protect_fields``
         Opt-in §6.4 extension: per-field struct canaries, catching
         intra-struct overflows the base scheme cannot see.
+
+    Only the ``pythia`` scheme reads the :data:`PYTHIA_SWITCHES`; any
+    other scheme resets them to their defaults on construction, so a
+    request that sets one cannot name a second variant of the same
+    compilation (registry keys and compilation-cache tokens both see
+    the normalised config).
     """
 
     scheme: str = "pythia"
@@ -41,3 +55,6 @@ class DefenseConfig:
             raise ValueError(
                 f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}"
             )
+        if self.scheme != "pythia":
+            for name in PYTHIA_SWITCHES:
+                setattr(self, name, self.__dataclass_fields__[name].default)

@@ -272,9 +272,10 @@ def protect_all(
     ``consume=True`` transfers ownership of ``module`` to the pipeline:
     it may be mutated in place (it becomes the mem2reg-prepared vanilla
     module) instead of being cloned pristine first.  Callers that
-    compile a module only to protect it -- ``repro attack`` and
-    ``repro bench``, the nginx workload, the chaos and campaign
-    harnesses -- skip one full clone this way.
+    compile a module only to protect it -- ``repro attack``,
+    ``measure_module`` (so ``repro bench``, the suite and the nginx
+    workload), the chaos and campaign harnesses -- skip one full clone
+    this way.
 
     Phase timings land where the work happens: the vanilla result
     carries the shared ``verify``/``mem2reg``/``analysis`` phases, each

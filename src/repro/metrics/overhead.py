@@ -126,11 +126,13 @@ def _protect_schemes(module: Module, schemes: Sequence[str], cache):
     parsed-module memo, which is seeded on store so a warm run never
     re-parses what this process just compiled).  On any miss the whole
     scheme set is recompiled via the shared-analysis pipeline and the
-    missing entries are stored.
+    missing entries are stored.  ``module`` is compiled in place
+    (``protect_all(..., consume=True)``).
     """
     schemes = tuple(schemes)
     if cache is None:
-        return protect_all(module, schemes=schemes), dict.fromkeys(schemes, False)
+        results = protect_all(module, schemes=schemes, consume=True)
+        return results, dict.fromkeys(schemes, False)
     use_memo = cache.fault_hook is None
     text = print_module(module)
     keys = {
@@ -146,7 +148,7 @@ def _protect_schemes(module: Module, schemes: Sequence[str], cache):
                 _memo_module(cache, keys[scheme], results[scheme].module)
         return results, dict.fromkeys(schemes, True)
 
-    results = protect_all(module, schemes=schemes)
+    results = protect_all(module, schemes=schemes, consume=True)
     for scheme in schemes:
         if entries[scheme] is None:
             store_result(cache, keys[scheme], results[scheme])
@@ -163,13 +165,20 @@ def measure_module(
     seed: int = 2024,
     interpreter: Optional[str] = None,
     cache_dir: Optional[str] = None,
+    trace_profile: Optional[Dict[str, float]] = None,
 ) -> BenchmarkMeasurement:
     """Protect and execute one module under each scheme.
 
     ``interpreter`` selects the CPU backend (``"decoded"`` /
-    ``"reference"``); ``None`` uses the CPU default.  ``cache_dir``
-    enables the content-addressed compilation cache: cached schemes
-    skip recompilation and are marked ``cache_hit`` on their runs.
+    ``"reference"`` / ``"trace"``); ``None`` uses the CPU default.
+    ``cache_dir`` enables the content-addressed compilation cache:
+    cached schemes skip recompilation and are marked ``cache_hit`` on
+    their runs.  ``trace_profile`` (per-block counts from a saved
+    execution profile) steers trace-tier region selection.
+    ``measure_module`` takes ownership of ``module``: a compile may
+    mutate it in place instead of cloning it, so pass a module compiled
+    only to be measured.  A scheme whose benign run does not finish ok
+    raises ``RuntimeError``.
     """
     cache = None
     if cache_dir is not None:
@@ -185,7 +194,12 @@ def measure_module(
     measurement = BenchmarkMeasurement(name=name)
     for scheme in schemes:
         protection = protections[scheme]
-        cpu = CPU(protection.module, seed=seed, interpreter=interpreter)
+        cpu = CPU(
+            protection.module,
+            seed=seed,
+            interpreter=interpreter,
+            trace_profile=trace_profile,
+        )
         with tracer.span(f"execute:{scheme}", "exec", benchmark=name):
             execution = cpu.run(inputs=list(inputs or []))
         publish_execution(metrics, execution, scheme=scheme)

@@ -25,15 +25,16 @@ registry, and one process-global event log.  Tracing defaults to
 :data:`NULL_TRACER` (disabled, near-zero cost); metrics and event
 collection are always on because their call sites sit on
 compile/measure/trap boundaries, and "disabled" just means nothing is
-ever exported.  Suite and serve workers install fresh local instances
-per task so parent-side merging never double-counts
+ever exported.  Suite and serve workers run each task in a
+:class:`telemetry_scope` (fresh local instances of all three), so the
+parent merges every task's records exactly once
 (see ``perf/runner.py`` and ``serve/worker.py``).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 from .. import _lazy_exports
 from .events import (
@@ -107,6 +108,7 @@ __all__ = [
     "render_dashboard",
     "reset_event_log",
     "reset_metrics",
+    "telemetry_scope",
     "validate_event",
     "validate_snapshot",
     "write_events",
@@ -206,6 +208,54 @@ def reset_event_log() -> EventLog:
     return_value = EventLog()
     install_event_log(return_value)
     return return_value
+
+
+class telemetry_scope:
+    """Fresh metrics, event log and (when tracing) tracer for one task.
+
+    Suite and serve workers run each task inside one: forked workers
+    inherit the parent's globals and inline workers *are* the parent,
+    so recording into the inherited objects would lose the records
+    (fork) or double-count them once the parent merges what the task
+    returns (inline).  On exit the previous globals are restored.
+    :meth:`snapshot` is the telemetry dict the parent adopts:
+    ``metrics`` (a registry snapshot), ``events`` (trace events, empty
+    unless ``trace_name`` started a tracer), and ``security_events``.
+    A task that raises returns no snapshot, so its security events go
+    to the restored event log instead: an audit record (say, a
+    ``cache-corrupt-recompile``) outlives the attempt that made it.
+    """
+
+    __slots__ = ("metrics", "event_log", "tracer", "_previous")
+
+    def __init__(self, trace_name: Optional[str] = None):
+        self.metrics = MetricsRegistry()
+        self.event_log = EventLog()
+        self.tracer = Tracer(trace_name) if trace_name is not None else None
+
+    def __enter__(self) -> "telemetry_scope":
+        self._previous = (
+            install_metrics(self.metrics),
+            install_event_log(self.event_log),
+            install_tracer(self.tracer) if self.tracer is not None else None,
+        )
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        metrics, event_log, tracer = self._previous
+        install_metrics(metrics)
+        install_event_log(event_log)
+        if tracer is not None:
+            install_tracer(tracer)
+        if exc_type is not None:
+            event_log.adopt(self.event_log.snapshot())
+
+    def snapshot(self) -> Dict[str, Any]:
+        return {
+            "metrics": self.metrics.snapshot(),
+            "events": list(self.tracer.events) if self.tracer is not None else [],
+            "security_events": self.event_log.snapshot(),
+        }
 
 
 class phase_span:

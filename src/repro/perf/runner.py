@@ -40,11 +40,11 @@ from ..hardware.errors import ReproError
 from ..metrics.overhead import BenchmarkMeasurement, measure_program
 from ..observability import (
     MetricsRegistry,
-    Tracer,
     current_tracer,
+    get_event_log,
     get_metrics,
-    install_metrics,
-    install_tracer,
+    reset_event_log,
+    telemetry_scope,
 )
 from ..robustness.triage import crash_fingerprint, fingerprint_from_frames
 from ..workloads.generator import generate_program
@@ -271,23 +271,16 @@ def _measure_one(task: Tuple) -> Tuple[ProgramSummary, Dict[str, Any]]:
     Module-level (and tuple-argumented) so it pickles under the default
     process-pool start methods.
 
-    Returns ``(summary, telemetry)``: the telemetry dict carries the
-    attempt's metrics snapshot and (when the suite traces) its span
-    events.  A **fresh** local tracer and metrics registry are
-    installed for the attempt and restored afterwards -- forked workers
-    inherit the parent's globals and inline (``jobs=1``) workers *are*
-    the parent process, so recording into the inherited objects would
-    double-count once the parent merges the returned telemetry.
+    Returns ``(summary, telemetry)``: the attempt runs in a
+    :class:`~repro.observability.telemetry_scope`, whose snapshot (its
+    metrics, span events when the suite traces, and security events)
+    the parent merges.
     """
     name, schemes, seed, interpreter, cache_dir = task[:5]
     trace = bool(task[5]) if len(task) > 5 else False
-    registry = MetricsRegistry()
-    previous_metrics = install_metrics(registry)
-    previous_tracer = install_tracer(Tracer(f"task:{name}")) if trace else None
-    try:
-        tracer = current_tracer()
+    with telemetry_scope(f"task:{name}" if trace else None) as scope:
         start = time.perf_counter()
-        with tracer.span(f"task:{name}", "suite"):
+        with current_tracer().span(f"task:{name}", "suite"):
             program = generate_program(get_profile(name))
             measurement = measure_program(
                 program,
@@ -297,15 +290,7 @@ def _measure_one(task: Tuple) -> Tuple[ProgramSummary, Dict[str, Any]]:
                 cache_dir=cache_dir,
             )
         summary = summarize_measurement(measurement, time.perf_counter() - start)
-        telemetry = {
-            "metrics": registry.snapshot(),
-            "events": list(tracer.events) if trace else [],
-        }
-        return summary, telemetry
-    finally:
-        install_metrics(previous_metrics)
-        if previous_tracer is not None:
-            install_tracer(previous_tracer)
+        return summary, scope.snapshot()
 
 
 def plan_jobs(
@@ -372,9 +357,14 @@ def _child_main(conn, worker: Callable[[Any], Any], payload: Any) -> None:
 
     Exceptions are flattened to ``(type name, message, repro frames)``
     -- picklable, and exactly what the parent needs to build a triage
-    fingerprint.  A worker that dies before sending anything (hard
-    crash, ``os._exit``) is detected by the parent via its exit code.
+    fingerprint.  Either message ends with the security events the
+    attempt left in this process's event log (a fresh one, so nothing
+    inherited from the parent), which the parent adopts as an inline
+    attempt's would have landed in its log.  A worker that dies before
+    sending anything (hard crash, ``os._exit``) is detected by the
+    parent via its exit code.
     """
+    events = reset_event_log()
     try:
         result = worker(payload)
     except BaseException as exc:  # noqa: BLE001 - the whole point is containment
@@ -383,13 +373,14 @@ def _child_main(conn, worker: Callable[[Any], Any], payload: Any) -> None:
         # Drop this harness frame so cross-process fingerprints match
         # what an in-process run of the same worker would produce.
         frames = [f for f in repro_frames(exc) if f != "_child_main"]
+        error = (type(exc).__name__, str(exc), frames, events.snapshot())
         try:
-            conn.send(("error", type(exc).__name__, str(exc), frames))
+            conn.send(("error", *error))
         except (BrokenPipeError, OSError):
             pass
     else:
         try:
-            conn.send(("ok", result))
+            conn.send(("ok", result, events.snapshot()))
         except (BrokenPipeError, OSError):
             pass
     finally:
@@ -500,7 +491,9 @@ def run_tasks(
       of the Python process itself is obviously not survivable);
     - otherwise: **one forked process per attempt**.  Fork (not spawn)
       so arbitrary worker callables -- including test closures -- need
-      no pickling; only results cross the pipe.
+      no pickling; only results cross the pipe, each with the
+      security events the attempt recorded, which the parent adopts
+      into its event log (an inline attempt records them there).
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -584,10 +577,11 @@ def run_tasks(
                 if message is not None:
                     payload, number = attempt.payload, attempt.attempt
                     reap(name)
+                    get_event_log().adopt(message[-1])
                     if message[0] == "ok":
                         results[name] = message[1]
                     else:
-                        _tag, exc_type, text, frames = message
+                        _tag, exc_type, text, frames, _events = message
                         settle(
                             name,
                             _failure(
@@ -691,10 +685,12 @@ def run_suite(
     wall = time.perf_counter() - start
 
     # Merge worker telemetry: span events into the parent tracer (one
-    # coherent timeline -- fork shares the monotonic epoch) and metrics
-    # snapshots into one suite-level aggregate, which is also folded
-    # into the process-global registry for ``--metrics-out``.
+    # coherent timeline -- fork shares the monotonic epoch), security
+    # events into the parent's event log (``--events-out``), and
+    # metrics snapshots into one suite-level aggregate, which is also
+    # folded into the process-global registry for ``--metrics-out``.
     tracer = current_tracer()
+    event_log = get_event_log()
     aggregate = MetricsRegistry()
     programs: Dict[str, ProgramSummary] = {}
     trace_events: List[Dict[str, Any]] = []
@@ -707,6 +703,7 @@ def run_suite(
         if telemetry["events"]:
             tracer.adopt(telemetry["events"])
             trace_events.extend(telemetry["events"])
+        event_log.adopt(telemetry["security_events"])
     aggregate.inc("suite.tasks_completed", len(programs))
     aggregate.inc("suite.tasks_quarantined", len(failures))
     aggregate.set_gauge("suite.jobs_effective", effective)

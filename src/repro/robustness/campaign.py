@@ -79,6 +79,7 @@ from ..core.config import SCHEMES
 from ..core.framework import protect, protect_all
 from ..frontend.driver import compile_source
 from ..hardware.cpu import CPU
+from ..hardware.errors import ReproError
 from ..observability import current_tracer, get_event_log, get_metrics
 from .faults import FaultInjector, FaultPlan, FaultSpec
 from .reduce import reduce_source
@@ -115,6 +116,16 @@ _PAYLOAD_OPS = (
     "value",
     "spray",
 )
+
+
+class CampaignInputError(ReproError, ValueError):
+    """An unknown attack family or a budget below 1.
+
+    A ``ValueError`` for API callers, and a ``ReproError`` so the CLI
+    prints a one-line diagnostic with the usage exit code 2.
+    """
+
+    exit_code = 2
 
 
 @dataclass(frozen=True)
@@ -514,12 +525,12 @@ def run_campaign(
         family_names = tuple(families)
         for name in family_names:
             if name not in scenarios:
-                raise ValueError(
+                raise CampaignInputError(
                     f"unknown attack family {name!r}; "
                     f"expected one of {tuple(sorted(scenarios))}"
                 )
     if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+        raise CampaignInputError(f"budget must be >= 1, got {budget}")
     per_family = max(1, budget // len(family_names))
     extra = max(0, budget - per_family * len(family_names))
 

@@ -12,7 +12,9 @@ entries):
   that :func:`~repro.core.framework.protect_variant` carries into
   every scheme variant (never re-analyzed per scheme);
 - one :class:`~repro.core.framework.ProtectionResult` per
-  ``(scheme, protect_fields)`` variant, whose module object also
+  ``(scheme, protect_fields)`` variant of the normalised
+  :class:`~repro.core.config.DefenseConfig` (``protect_fields`` only
+  counts under pythia), whose module object also
   accretes the interpreter tiers' decode and trace code caches
   across requests -- a warm ``run`` re-executes without re-decoding.
 
@@ -86,6 +88,18 @@ class _Entry:
     printed: Dict[Tuple[str, bool], Tuple[str, str]] = field(default_factory=dict)
 
 
+def _variant(
+    scheme: str, protect_fields: bool
+) -> Tuple[DefenseConfig, Tuple[str, bool]]:
+    """One variant's normalised config and its registry key.
+
+    The key reads the *normalised* config, so a switch the scheme
+    ignores (``fields`` on cpa, say) names the same variant.
+    """
+    config = DefenseConfig(scheme=scheme, protect_fields=protect_fields)
+    return config, (config.scheme, config.protect_fields)
+
+
 class WarmRegistry:
     """LRU registry of prepared modules and their scheme variants."""
 
@@ -145,7 +159,7 @@ class WarmRegistry:
         a module never re-runs verification, mem2reg, or analysis.
         """
         entry = self._entry(source, name)
-        key = (scheme, protect_fields)
+        config, key = _variant(scheme, protect_fields)
         result = entry.protections.get(key)
         if result is not None:
             self.stats.protection_hits += 1
@@ -153,20 +167,17 @@ class WarmRegistry:
             return result, True
         self.stats.protection_misses += 1
         get_metrics().inc("serve.registry.protection_misses")
-        result = self._compile_variant(entry, scheme, protect_fields)
+        result = self._compile_variant(entry, config)
         entry.protections[key] = result
         return result, False
 
-    def _compile_variant(
-        self, entry: _Entry, scheme: str, protect_fields: bool
-    ) -> ProtectionResult:
-        config = DefenseConfig(scheme=scheme, protect_fields=protect_fields)
+    def _compile_variant(self, entry: _Entry, config: DefenseConfig) -> ProtectionResult:
         disk_key = None
         if self._disk is not None and entry.cache_text is not None:
             disk_key = self._disk.key_for(entry.cache_text, config)
             cached = self._disk.load(disk_key)
             if cached is not None:
-                return cached_result(cached, scheme)
+                return cached_result(cached, config.scheme)
         result = protect_variant(entry.prepared, config)
         if disk_key is not None:
             store_result(self._disk, disk_key, result)
@@ -183,7 +194,7 @@ class WarmRegistry:
         """
         protection, warm = self.protection(source, name, scheme, protect_fields)
         entry = self._entries[source_digest(source)]
-        key = (scheme, protect_fields)
+        _, key = _variant(scheme, protect_fields)
         memo = entry.printed.get(key)
         if memo is None:
             text = print_module(protection.module)

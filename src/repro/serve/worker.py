@@ -7,9 +7,10 @@ loops over its pipe: receive one request dict, handle it, send back
 front-end serializes per worker), so registry state needs no locking.
 
 Telemetry follows the suite runner's convention (``perf/runner.py``):
-each request installs a *fresh* local metrics registry, a fresh
-security-event log, and -- when the daemon traces -- a fresh tracer,
-and returns their contents with the response.  The front-end merges them into the process-global registry
+each request runs in a :class:`~repro.observability.telemetry_scope`
+(a fresh local metrics registry, security-event log, and -- when the
+daemon traces -- tracer) and returns its snapshot with the response.
+The front-end merges it into the process-global registry, event log
 and tracer, which is how ``--metrics-out``/``--trace-out`` on ``serve``
 see worker-side compile phases and cache events without double
 counting, and how the single-flight dedup guarantee becomes testable:
@@ -35,16 +36,11 @@ from ..attacks.scenarios import build_scenarios
 from ..hardware import tracec  # noqa: F401 - preloaded for the trace tier
 from ..hardware.cpu import CPU
 from ..observability import (
-    EventLog,
     ExecutionProfiler,
-    MetricsRegistry,
-    Tracer,
     current_tracer,
     get_metrics,
-    install_event_log,
-    install_metrics,
-    install_tracer,
     publish_execution,
+    telemetry_scope,
 )
 from ..observability.events import source_digest
 from .protocol import classify_exception, error_response, ok_response
@@ -198,16 +194,8 @@ def handle_request(
     """
     request_id = request.get("id")
     rid = request.get("rid")
-    registry = MetricsRegistry()
-    previous_metrics = install_metrics(registry)
-    event_log = EventLog()
-    previous_log = install_event_log(event_log)
-    previous_tracer = (
-        install_tracer(Tracer(f"serve-worker:{request.get('op')}"))
-        if trace
-        else None
-    )
-    try:
+    trace_name = f"serve-worker:{request.get('op')}" if trace else None
+    with telemetry_scope(trace_name) as scope:
         tracer = current_tracer()
         try:
             with tracer.span(
@@ -225,7 +213,7 @@ def handle_request(
         if isinstance(result, dict) and result.get("detected"):
             # A defense fired: record the trap with full correlation so
             # the audit can name the request, module, scheme, and tier.
-            event_log.emit(
+            scope.event_log.emit(
                 "trap",
                 request_id=request_id,
                 rid=rid,
@@ -236,17 +224,7 @@ def handle_request(
                 scenario=result.get("scenario"),
                 op=request["op"],
             )
-        telemetry = {
-            "metrics": registry.snapshot(),
-            "events": list(tracer.events) if trace else [],
-            "security_events": event_log.snapshot(),
-        }
-        return response, telemetry
-    finally:
-        install_metrics(previous_metrics)
-        install_event_log(previous_log)
-        if previous_tracer is not None:
-            install_tracer(previous_tracer)
+        return response, scope.snapshot()
 
 
 def worker_main(

@@ -25,8 +25,6 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.config import SCHEMES
-from ..core.framework import protect_all
-from ..hardware.cpu import CPU
 from .generator import GeneratedProgram, generate_program
 from .profiles import NGINX_PROFILE
 
@@ -64,23 +62,27 @@ def run_nginx(
     seed: int = 2024,
 ) -> List[NginxRun]:
     """Serve the request batches under each scheme; returns all runs."""
+    # Imported here, so the request-mix half of this module (loadgen)
+    # never loads the measurement layer.
+    from ..metrics.overhead import measure_module
+
     runs: List[NginxRun] = []
     for duration in durations:
         program = nginx_program(duration)
-        protections = protect_all(program.compile(), tuple(schemes), consume=True)
-        for scheme, protection in protections.items():
-            cpu = CPU(protection.module, seed=seed)
-            result = cpu.run(inputs=list(program.inputs))
-            if not result.ok:
-                raise RuntimeError(
-                    f"nginx/{scheme}/{duration} failed: {result.status} ({result.trap})"
-                )
+        measurement = measure_module(
+            program.compile(),
+            name=f"nginx/{duration}",
+            inputs=program.inputs,
+            schemes=schemes,
+            seed=seed,
+        )
+        for scheme, run in measurement.runs.items():
             runs.append(
                 NginxRun(
                     scheme=scheme,
                     duration=duration,
-                    cycles=result.cycles,
-                    bytes_out=len(result.output),
+                    cycles=run.execution.cycles,
+                    bytes_out=len(run.execution.output),
                 )
             )
     return runs

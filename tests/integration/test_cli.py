@@ -267,6 +267,11 @@ class TestCampaign:
         assert code == 2
         assert "no_such_family" in err
 
+    def test_budget_below_one_exits_2(self, capsys):
+        code, _, err = run_cli(["campaign", "--budget", "0"], capsys)
+        assert code == 2
+        assert err.splitlines() == ["repro: error: budget must be >= 1, got 0"]
+
 
 class TestObservabilityFlags:
     def test_run_writes_valid_trace_and_metrics(self, victim_path, tmp_path, capsys):
@@ -383,6 +388,60 @@ class TestObservabilityFlags:
         assert validate_snapshot(snapshot) is None
         assert snapshot["counters"]["suite.tasks_completed"] == 1
         assert snapshot["counters"]["cache.misses"] > 0
+
+    def test_suite_events_survive_forked_workers(self, tmp_path, capsys):
+        """Worker-side security events reach ``--events-out`` whether the
+        suite runs inline or in forked workers."""
+        import json
+        import os
+
+        from repro.observability import read_events
+
+        cache_dir = tmp_path / "cache"
+        benchmarks = ["505.mcf_r", "519.lbm_r"]
+        code, _, _ = run_cli(
+            ["suite", *benchmarks, "--cache-dir", str(cache_dir)], capsys
+        )
+        assert code == 0
+
+        def corrupt_every_entry():
+            paths = [
+                os.path.join(dirpath, name)
+                for dirpath, _, names in os.walk(cache_dir)
+                for name in names
+                if name.endswith(".json")
+            ]
+            for path in paths:
+                with open(path, "r", encoding="utf-8") as handle:
+                    blob = json.load(handle)
+                blob["payload"]["module"] = "tampered text"
+                with open(path, "w", encoding="utf-8") as handle:
+                    json.dump(blob, handle)
+            return len(paths)
+
+        # ``--timeout`` makes even one job fork, so the second run takes
+        # the worker-process path on any host.
+        for extra in (["--jobs", "1"], ["--jobs", "2", "--timeout", "300"]):
+            corrupted = corrupt_every_entry()
+            assert corrupted == 2 * 4  # two benchmarks x four schemes
+            events = tmp_path / "events.jsonl"
+            metrics = tmp_path / "metrics.json"
+            code, _, _ = run_cli(
+                [
+                    "suite", *benchmarks, *extra,
+                    "--cache-dir", str(cache_dir),
+                    "--events-out", str(events), "--metrics-out", str(metrics),
+                ],
+                capsys,
+            )
+            assert code == 0, extra
+            recompiles = [
+                event
+                for event in read_events(str(events))
+                if event["type"] == "cache-corrupt-recompile"
+            ]
+            counters = json.loads(metrics.read_text())["counters"]
+            assert len(recompiles) == counters["cache.corrupt"] == corrupted, extra
 
     def test_unwritable_trace_out_exits_3(self, victim_path, tmp_path, capsys):
         code, _, err = run_cli(

@@ -172,3 +172,38 @@ class TestGlobalLog:
             assert mine.emitted == 1
         finally:
             install_event_log(previous)
+
+
+class TestTelemetryScope:
+    def test_scope_collects_all_three_and_restores(self):
+        from repro.observability import (
+            current_tracer,
+            get_metrics,
+            telemetry_scope,
+        )
+
+        outer = (get_metrics(), get_event_log(), current_tracer())
+        with telemetry_scope("task:demo") as scope:
+            assert get_metrics() is scope.metrics
+            assert get_event_log() is scope.event_log
+            assert current_tracer() is scope.tracer
+            get_metrics().inc("demo.count")
+            get_event_log().emit("cache-corrupt-recompile", key="k")
+            with current_tracer().span("demo", "test"):
+                pass
+            telemetry = scope.snapshot()
+        assert (get_metrics(), get_event_log(), current_tracer()) == outer
+        assert telemetry["metrics"]["counters"] == {"demo.count": 1}
+        assert [e["type"] for e in telemetry["security_events"]] == [
+            "cache-corrupt-recompile"
+        ]
+        assert [e["name"] for e in telemetry["events"]] == ["demo"]
+
+    def test_untraced_scope_keeps_the_current_tracer(self):
+        from repro.observability import current_tracer, telemetry_scope
+
+        outer = current_tracer()
+        with telemetry_scope() as scope:
+            assert current_tracer() is outer
+            assert scope.snapshot()["events"] == []
+        assert current_tracer() is outer

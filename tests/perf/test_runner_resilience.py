@@ -90,6 +90,42 @@ class TestInjectedException:
             )
 
 
+def tamper_then_boom_worker(payload):
+    """Records a security event in its telemetry scope, then fails."""
+    from repro.observability import get_event_log, telemetry_scope
+
+    with telemetry_scope():
+        get_event_log().emit("cache-corrupt-recompile", key=payload)
+        raise RuntimeError("fails after recording")
+
+
+class TestFailedAttemptSecurityEvents:
+    """A failed attempt returns no telemetry, but its security events
+    still reach the parent's log, inline and forked alike."""
+
+    @pytest.mark.parametrize("forked", [False, True])
+    def test_every_attempt_lands_once(self, forked):
+        from repro.observability import EventLog, install_event_log
+
+        log = EventLog()
+        previous = install_event_log(log)
+        try:
+            _, failures = run_tasks(
+                [("a", "a")],
+                tamper_then_boom_worker,
+                timeout=30.0 if forked else None,
+                retries=1,
+                keep_going=True,
+                backoff_base=0.0,
+            )
+        finally:
+            install_event_log(previous)
+        assert failures["a"].attempts == 2
+        assert [(e["type"], e["detail"]["key"]) for e in log.snapshot()] == [
+            ("cache-corrupt-recompile", "a")
+        ] * 2
+
+
 class TestHardCrash:
     def test_dead_worker_is_contained(self):
         results, failures = run_tasks(

@@ -131,6 +131,42 @@ def test_corrupt_disk_entry_recompiles_silently(tmp_path):
     assert second._disk.stats.corrupt == 1
 
 
+def test_switch_the_scheme_ignores_names_no_second_variant(tmp_path):
+    """Only pythia reads ``protect_fields``: a cpa request with
+    ``fields`` is the plain cpa variant, in memory and on disk."""
+    import os
+
+    cache_dir = str(tmp_path / "cache")
+    registry = WarmRegistry(capacity=4, cache_dir=cache_dir)
+    plain, warm = registry.protection(SOURCE, scheme="cpa", protect_fields=False)
+    assert not warm
+    fields, warm = registry.protection(SOURCE, scheme="cpa", protect_fields=True)
+    assert warm and fields is plain
+    assert registry.stats.protection_misses == 1
+    _, text, _, _ = registry.printed_module(SOURCE, "module", "cpa", True)
+    assert text == print_module(plain.module)
+    entries = [name for _, _, names in os.walk(cache_dir) for name in names]
+    assert len(entries) == 1
+    assert registry._disk.stats.stores == 1
+
+
+def test_default_configs_keep_their_cache_tokens():
+    """Normalisation leaves every default config's cache token as it
+    was, so existing cache entries (and the chaos manifest's key
+    prefixes) stay valid."""
+    from repro.perf.cache import config_token
+
+    for scheme in SCHEMES:
+        assert config_token(DefenseConfig(scheme=scheme)) == (
+            '{"protect_fields": false, "protect_heap": true, '
+            '"protect_stack": true, "rerandomize_canaries": true, '
+            f'"run_mem2reg": true, "scheme": "{scheme}"}}'
+        )
+    assert config_token(
+        DefenseConfig(scheme="dfi", protect_fields=True, protect_heap=False)
+    ) == config_token(DefenseConfig(scheme="dfi"))
+
+
 #: Generator profiles the registry is checked against: two SPEC shapes
 #: and nginx (live heap traffic), all with structs for field canaries.
 PROFILES = ("531.deepsjeng_r", "541.leela_r", "nginx")
